@@ -171,10 +171,7 @@ sharedCompileLadder()
     t0 = std::chrono::steady_clock::now();
     std::vector<sim::RunResult> perShape;
     for (const sim::ShapeSpec& shape : shapes) {
-        MachineSpec spec;
-        spec.topo = topo;
-        spec.queuesPerLink = shape.queuesPerLink;
-        spec.queueCapacity = shape.queueCapacity;
+        const MachineSpec spec = shape.machine(topo);
         sim::SimSession session(p, spec);
         perShape.push_back(session.run(requests[0]));
     }

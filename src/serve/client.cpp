@@ -14,21 +14,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/mix.h"
 #include "serve/protocol.h"
 
 namespace syscomm::serve {
 
 namespace {
-
-/** splitmix64: the deterministic jitter source for retry backoff. */
-std::uint64_t
-mixJitter(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** Backoff for (0-based) retry @p attempt: exp growth, seeded jitter. */
 int
@@ -41,7 +32,7 @@ backoffDelayMs(const RetryOptions& retry, int attempt)
     if (base <= 0)
         return 0;
     const std::uint64_t jitter =
-        mixJitter(retry.jitterSeed ^
+        mix64(retry.jitterSeed ^
                   static_cast<std::uint64_t>(attempt)) %
         static_cast<std::uint64_t>(base);
     // Full jitter halved around base: [base/2, base + base/2).

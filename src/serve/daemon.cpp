@@ -174,6 +174,42 @@ runResultJson(const sim::RunResult& result, std::uint64_t machineDigest)
     return out;
 }
 
+/**
+ * Journal-derived progress of a sweep submission (running or parked):
+ * rows done + per-row checkpoint headers, via inspectSweepJournal — no
+ * sessions are opened. It reads and walks the whole journal file, so
+ * callers run it without holding the daemon mutex.
+ */
+bool
+journalProgress(const std::string& journal_path, JsonValue& out)
+{
+    if (journal_path.empty())
+        return false;
+    sim::SweepJournalInfo info;
+    if (!sim::inspectSweepJournal(journal_path, info))
+        return false;
+    out = JsonValue::object();
+    out.set("rows_done", JsonValue::integer(static_cast<std::int64_t>(
+                             info.rowsDone)));
+    JsonValue inflight = JsonValue::array();
+    for (const sim::SweepJournalRow& row : info.inflight) {
+        JsonValue r = JsonValue::object();
+        r.set("shape", JsonValue::integer(
+                           static_cast<std::int64_t>(row.shape)));
+        r.set("request", JsonValue::integer(
+                             static_cast<std::int64_t>(row.request)));
+        r.set("cycles", JsonValue::integer(row.info.cycles));
+        r.set("kernel", JsonValue::str(row.info.eventKernel
+                                           ? "event"
+                                           : "reference"));
+        r.set("machine_digest",
+              JsonValue::str(hexDigest(row.info.machineDigest)));
+        inflight.push(std::move(r));
+    }
+    out.set("inflight", std::move(inflight));
+    return true;
+}
+
 } // namespace
 
 SyscommDaemon::SyscommDaemon(DaemonOptions options)
@@ -651,13 +687,8 @@ void
 SyscommDaemon::executeRun(Sub* sub, const CachedProgram& entry)
 {
     const Submission& payload = sub->payload;
-    MachineSpec spec;
-    spec.topo = entry.compiled->sharedTopo();
-    const sim::ShapeSpec& shape = payload.shapes[0];
-    spec.queuesPerLink = shape.queuesPerLink;
-    spec.queueCapacity = shape.queueCapacity;
-    spec.extensionCapacity = shape.extensionCapacity;
-    spec.extensionPenalty = shape.extensionPenalty;
+    const MachineSpec spec =
+        payload.shapes[0].machine(entry.compiled->sharedTopo());
 
     sim::SessionOptions sessionOptions;
     sessionOptions.kernel = payload.kernel;
@@ -1068,13 +1099,9 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
             cache_.get(compileKey, Program(p.program),
                        SharedTopology(Topology(p.topo)), &wasHit);
         if (entry.compiled->valid()) {
-            MachineSpec spec;
-            spec.topo = entry.compiled->sharedTopo();
-            spec.queuesPerLink = best->queuesPerLink;
-            spec.queueCapacity = best->queueCapacity;
-            spec.extensionCapacity = best->extensionCapacity;
             std::shared_ptr<const AnalysisReport> report =
-                entry.compiled->analysis(spec);
+                entry.compiled->analysis(
+                    best->machine(entry.compiled->sharedTopo()));
             if (options_.lintMode == DaemonOptions::LintMode::kEnforce &&
                 report->verdict == LintVerdict::kDeadlock) {
                 JsonValue response = rejectResponse(
@@ -1162,7 +1189,10 @@ SyscommDaemon::handleSubmit(const JsonValue& msg,
     Sub* raw = sub.get();
     subs_.emplace(id, std::move(sub));
     queue_.push_back(raw);
-    workCv_.notify_one();
+    // notify_all: the watchdog thread waits on workCv_ too, and a
+    // notify_one it swallowed would leave the submission queued with
+    // every worker asleep.
+    workCv_.notify_all();
 
     JsonValue response = JsonValue::object();
     response.set("ok", JsonValue::boolean(true));
@@ -1191,13 +1221,9 @@ SyscommDaemon::handleLint(const JsonValue& msg)
     CachedProgram entry =
         cache_.get(key, Program(req.program),
                    SharedTopology(Topology(req.topo)), &wasHit);
-    MachineSpec spec;
-    spec.topo = entry.compiled->sharedTopo();
-    spec.queuesPerLink = req.shape.queuesPerLink;
-    spec.queueCapacity = req.shape.queueCapacity;
-    spec.extensionCapacity = req.shape.extensionCapacity;
     std::shared_ptr<const AnalysisReport> report =
-        entry.compiled->analysis(spec);
+        entry.compiled->analysis(
+            req.shape.machine(entry.compiled->sharedTopo()));
     JsonValue response = JsonValue::object();
     response.set("ok", JsonValue::boolean(true));
     response.set("cached_compile", JsonValue::boolean(wasHit));
@@ -1207,41 +1233,11 @@ SyscommDaemon::handleLint(const JsonValue& msg)
     return response;
 }
 
-bool
-SyscommDaemon::journalProgress(const Sub& sub, JsonValue& out)
-{
-    if (sub.journalPath.empty())
-        return false;
-    sim::SweepJournalInfo info;
-    if (!sim::inspectSweepJournal(sub.journalPath, info))
-        return false;
-    out = JsonValue::object();
-    out.set("rows_done", JsonValue::integer(static_cast<std::int64_t>(
-                             info.rowsDone)));
-    JsonValue inflight = JsonValue::array();
-    for (const sim::SweepJournalRow& row : info.inflight) {
-        JsonValue r = JsonValue::object();
-        r.set("shape", JsonValue::integer(
-                           static_cast<std::int64_t>(row.shape)));
-        r.set("request", JsonValue::integer(
-                             static_cast<std::int64_t>(row.request)));
-        r.set("cycles", JsonValue::integer(row.info.cycles));
-        r.set("kernel", JsonValue::str(row.info.eventKernel
-                                           ? "event"
-                                           : "reference"));
-        r.set("machine_digest",
-              JsonValue::str(hexDigest(row.info.machineDigest)));
-        inflight.push(std::move(r));
-    }
-    out.set("inflight", std::move(inflight));
-    return true;
-}
-
 JsonValue
 SyscommDaemon::handleStatus(const JsonValue& msg)
 {
     const std::string id = msg.getString("id");
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     auto it = subs_.find(id);
     if (it == subs_.end())
         return errorResponse("unknown id '" + id + "'");
@@ -1258,13 +1254,17 @@ SyscommDaemon::handleStatus(const JsonValue& msg)
     if (sub.state == SubmissionState::kRunning &&
         sub.payloadValid && !sub.payload.isSweep)
         response.set("cycles", JsonValue::integer(sub.executedCycles));
+    if (submissionStateTerminal(sub.state))
+        return response;
     // Journal-backed progress for a sweep, live or parked: rows done
-    // plus each in-flight row's checkpoint header. Reading the
-    // journal while the sweep appends is safe — a torn tail parses
-    // as "everything sound before it", same as a resume would see.
+    // plus each in-flight row's checkpoint header. The file walk runs
+    // after the lock is released. Reading the journal while the sweep
+    // appends is safe — a torn tail parses as "everything sound
+    // before it", same as a resume would see.
+    const std::string journalPath = sub.journalPath;
+    lock.unlock();
     JsonValue progress;
-    if (!submissionStateTerminal(sub.state) &&
-        journalProgress(sub, progress))
+    if (journalProgress(journalPath, progress))
         response.set("progress", std::move(progress));
     return response;
 }
@@ -1344,7 +1344,7 @@ SyscommDaemon::handleDrain()
 JsonValue
 SyscommDaemon::statsJson()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
     JsonValue response = JsonValue::object();
     response.set("ok", JsonValue::boolean(true));
     response.set("control", JsonValue::str(control_.status()));
@@ -1411,18 +1411,24 @@ SyscommDaemon::statsJson()
 
     // Journal progress of every non-terminal sweep — how a drained
     // (or killed-and-restarted) daemon reports parked work without
-    // opening a single session.
-    JsonValue sweeps = JsonValue::array();
+    // opening a single session. The journals are walked after the
+    // lock is released: entry and journal path are copied under it.
+    std::vector<std::pair<JsonValue, std::string>> parked;
     for (const auto& [id, sub] : subs_) {
-        if (submissionStateTerminal(sub->state))
-            continue;
-        JsonValue progress;
-        if (!journalProgress(*sub, progress))
+        if (submissionStateTerminal(sub->state) || sub->journalPath.empty())
             continue;
         JsonValue entry = JsonValue::object();
         entry.set("id", JsonValue::str(id));
         entry.set("state",
                   JsonValue::str(submissionStateName(sub->state)));
+        parked.emplace_back(std::move(entry), sub->journalPath);
+    }
+    lock.unlock();
+    JsonValue sweeps = JsonValue::array();
+    for (auto& [entry, journalPath] : parked) {
+        JsonValue progress;
+        if (!journalProgress(journalPath, progress))
+            continue;
         entry.set("progress", std::move(progress));
         sweeps.push(std::move(entry));
     }

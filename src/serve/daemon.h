@@ -223,10 +223,6 @@ class SyscommDaemon
     JsonValue handleCancel(const JsonValue& msg);
     JsonValue handleDrain();
     JsonValue handleLint(const JsonValue& msg);
-    /** Journal-derived progress of a sweep submission (running or
-     *  parked): rows done + per-row checkpoint headers, via
-     *  inspectSweepJournal — no sessions are opened. */
-    bool journalProgress(const Sub& sub, JsonValue& out);
 
     DaemonOptions options_;
     ServiceControl control_;

@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include "core/mix.h"
+
 namespace syscomm::serve {
 
 namespace fs = std::filesystem;
@@ -166,16 +168,6 @@ class SystemIo final : public Io
         return ok;
     }
 };
-
-/** splitmix64 — seeds the torn-write prefix lengths. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 } // namespace
 

@@ -37,25 +37,12 @@ runRequestFrom(const SimOptions& options)
     return request;
 }
 
-ArraySimulator::ArraySimulator(const Program& program,
-                               const MachineSpec& spec, SimOptions options)
-    : options_(std::move(options)),
-      session_(program, spec, sessionOptionsFrom(options_))
-{}
-
-ArraySimulator::~ArraySimulator() = default;
-
-RunResult
-ArraySimulator::run()
-{
-    return session_.run(runRequestFrom(options_));
-}
-
 RunResult
 simulateProgram(const Program& program, const MachineSpec& spec,
                 const SimOptions& options)
 {
-    return ArraySimulator(program, spec, options).run();
+    SimSession session(program, spec, sessionOptionsFrom(options));
+    return session.run(runRequestFrom(options));
 }
 
 } // namespace syscomm::sim

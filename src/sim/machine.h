@@ -17,8 +17,8 @@
  *
  * The engine itself lives behind SimSession (sim/session.h), which
  * compiles a program once and runs it many times. This header keeps
- * the original single-use API as a thin wrapper for callers that
- * simulate a program exactly once.
+ * the original single-use entry point, simulateProgram, as a thin
+ * wrapper for callers that simulate a program exactly once.
  */
 
 #include <cstdint>
@@ -64,29 +64,6 @@ SessionOptions sessionOptionsFrom(const SimOptions& options);
 /** Per-run half of a SimOptions; collects everything, as the
  *  single-use simulator always did. */
 RunRequest runRequestFrom(const SimOptions& options);
-
-/**
- * A single-use simulator instance (legacy API): a SimSession that is
- * only ever run once. The program and spec must outlive the
- * simulator.
- */
-class ArraySimulator
-{
-  public:
-    ArraySimulator(const Program& program, const MachineSpec& spec,
-                   SimOptions options = {});
-    ~ArraySimulator();
-
-    ArraySimulator(const ArraySimulator&) = delete;
-    ArraySimulator& operator=(const ArraySimulator&) = delete;
-
-    /** Run to completion/deadlock/budget. Call once. */
-    RunResult run();
-
-  private:
-    SimOptions options_;
-    SimSession session_;
-};
 
 /** One-shot convenience wrapper. */
 RunResult simulateProgram(const Program& program, const MachineSpec& spec,

@@ -243,9 +243,16 @@ loadRunResult(ByteReader& r, RunResult& result)
            static_cast<int>(result.status) < kNumRunStatuses;
 }
 
+namespace {
+
+/**
+ * Decode the progress header at the front of a checkpoint stream —
+ * the one header decoder peekCheckpointInfo and restore share, so
+ * both refuse exactly the same streams. Leaves @p r at the first
+ * byte after the header (the statistics).
+ */
 bool
-peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
-                   CheckpointInfo& info)
+readCheckpointHeader(ByteReader& r, CheckpointInfo& info)
 {
     info = CheckpointInfo{};
     // Fixed header: magic, version, digest, kernel flag, fault-plan
@@ -254,9 +261,8 @@ peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
     // reader's zero-fill (a truncated header must never produce a
     // plausible-looking info).
     constexpr std::size_t kFixedHeader = 4 + 4 + 8 + 1 + 8 + 8 + 8;
-    if (data == nullptr || size < kFixedHeader)
+    if (r.remaining() < kFixedHeader)
         return false;
-    ByteReader r(data, size);
     if (r.get<std::uint32_t>() != kCheckpointMagic ||
         r.get<std::uint32_t>() != kCheckpointVersion)
         return false;
@@ -275,6 +281,16 @@ peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
         info.writeSeq.size() != info.readSeq.size())
         return false;
     return r.ok();
+}
+
+} // namespace
+
+bool
+peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
+                   CheckpointInfo& info)
+{
+    ByteReader r(data, data != nullptr ? size : 0);
+    return readCheckpointHeader(r, info);
 }
 
 // ---------------------------------------------------------------------
@@ -2462,24 +2478,14 @@ struct SimSession::Impl
         if (!configOk || request.collect != Collect::kNone)
             return false;
         ByteReader r(data, size);
-        if (r.get<std::uint32_t>() != kCheckpointMagic ||
-            r.get<std::uint32_t>() != kCheckpointVersion)
+        CheckpointInfo header;
+        if (!readCheckpointHeader(r, header) ||
+            header.writeSeq.size() != writeSeq.size())
             return false;
-        const std::uint64_t digest = r.get<std::uint64_t>();
-        const bool writerWasEventKernel = r.get<std::uint8_t>() != 0;
-        const std::uint64_t planDigest = r.get<std::uint64_t>();
-        if (planDigest != (request.faults != nullptr
-                               ? request.faults->digest()
-                               : std::uint64_t{0}))
+        if (header.faultPlanDigest != (request.faults != nullptr
+                                           ? request.faults->digest()
+                                           : std::uint64_t{0}))
             return false; // wrong/missing plan: refuse, don't diverge
-        const Cycle resume_from = r.get<Cycle>();
-        const Cycle cycles = r.get<Cycle>();
-        std::vector<int> wseq;
-        std::vector<int> rseq;
-        if (!r.getVector(wseq) || !r.getVector(rseq) ||
-            wseq.size() != writeSeq.size() ||
-            rseq.size() != readSeq.size())
-            return false;
         SimStats stats;
         if (!loadStats(r, stats) ||
             stats.perCellBlocked.size() != cells.size())
@@ -2490,13 +2496,13 @@ struct SimSession::Impl
         if (!arena.deserializeMachineState(data + (size - r.remaining()),
                                            r.remaining()))
             return false;
-        writeSeq = std::move(wseq);
-        readSeq = std::move(rseq);
+        writeSeq = std::move(header.writeSeq);
+        readSeq = std::move(header.readSeq);
         // The digest recorded at save time covers everything restored
         // above; recomputing it is the end-to-end torn/mismatched-
         // checkpoint check (a failed restore leaves machine state
         // unspecified — the next run() resets it all anyway).
-        if (machineDigest() != digest)
+        if (machineDigest() != header.machineDigest)
             return false;
 
         ++runs;
@@ -2516,7 +2522,7 @@ struct SimSession::Impl
             return false;
 
         result.status = RunStatus::kPaused;
-        result.cycles = cycles;
+        result.cycles = header.cycles;
         result.error.clear();
         result.stats = std::move(stats);
         result.deadlock = DeadlockReport{};
@@ -2527,7 +2533,7 @@ struct SimSession::Impl
         result.received.clear();
         result.labelsUsed = *runLabels;
 
-        resumeFrom = resume_from;
+        resumeFrom = header.resumeFrom;
         pauseTarget = 0;
 
         // Rebuild the fault-derived flags by replaying the plan's due
@@ -2549,7 +2555,7 @@ struct SimSession::Impl
         // leaves here with its cursor at the pause cycle — the common
         // baseline both kernels continue identically from.
         const Cycle pauseCycle = resumeFrom - 1;
-        if (writerWasEventKernel)
+        if (header.eventKernel)
             chargeLazyBlockedSpans(pauseCycle, result.stats);
         for (CellId c : programCells) {
             if (!cells[c].done())

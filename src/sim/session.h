@@ -23,7 +23,7 @@
  * can stream assignment/release/delivery events instead of
  * materializing them.
  *
- * The legacy single-use API (ArraySimulator, simulateProgram) in
+ * The legacy single-use entry point (simulateProgram) in
  * sim/machine.h is a thin wrapper over this class.
  */
 

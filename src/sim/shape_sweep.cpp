@@ -4,13 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -54,6 +51,8 @@ constexpr std::uint8_t kRecShardRange = 3;
 constexpr std::size_t kRecordOverhead = 1 + 1 + 8 + 4;
 /** magic + format version + config digest. */
 constexpr std::size_t kJournalHeader = 4 + 4 + 8;
+/** Widest ladder mergeSweepJournals sizes a digest table for. */
+constexpr std::size_t kMaxMergeShapes = std::size_t{1} << 20;
 
 std::uint64_t
 fnvBytes(std::uint64_t h, const std::uint8_t* data, std::size_t n)
@@ -61,22 +60,6 @@ fnvBytes(std::uint64_t h, const std::uint8_t* data, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         h = fnv(h, data[i]);
     return h;
-}
-
-std::uint32_t
-readU32(const std::uint8_t* p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-readU64(const std::uint8_t* p)
-{
-    return static_cast<std::uint64_t>(readU32(p)) |
-           static_cast<std::uint64_t>(readU32(p + 4)) << 32;
 }
 
 /** Header image for a fresh journal (little-endian throughout). */
@@ -91,43 +74,111 @@ journalHeaderBytes(std::uint64_t cfg)
     return bytes;
 }
 
-/** Payload of a kRecShardRange record. */
-std::vector<std::uint8_t>
-shardRangePayload(std::size_t num_shapes, std::size_t num_requests,
-                  std::size_t begin, std::size_t end)
+// ---------------------------------------------------------------------
+// Record codec: the encoder (beginRecord/endRecord and the record
+// builders) and the one decoder (checkRecord + decodeRecord) that
+// readJournal folds for every reader — resume, inspect and merge.
+// ---------------------------------------------------------------------
+
+/** Overwrite 8 bytes at @p at with @p value, little-endian. */
+void
+patchU64(std::vector<std::uint8_t>& bytes, std::size_t at,
+         std::uint64_t value)
 {
-    std::vector<std::uint8_t> payload;
-    ByteWriter w(payload);
-    w.put(static_cast<std::uint64_t>(num_shapes));
-    w.put(static_cast<std::uint64_t>(num_requests));
-    w.put(static_cast<std::uint64_t>(begin));
-    w.put(static_cast<std::uint64_t>(end));
-    return payload;
+    for (std::size_t b = 0; b < sizeof value; ++b)
+        bytes[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
 }
 
-/**
- * Frame one record: header + payload + CRC32C over both. Returned as
- * one buffer so the append is a single write op — exactly the
- * granularity the fault-injecting Io tears.
- */
-std::vector<std::uint8_t>
-frameRecord(std::uint8_t kind, const std::vector<std::uint8_t>& payload)
+/** Start a frame: kind, record version, payload-length slot. */
+void
+beginRecord(std::vector<std::uint8_t>& frame, std::uint8_t kind)
 {
-    std::vector<std::uint8_t> frame;
-    frame.reserve(kRecordOverhead + payload.size());
     ByteWriter w(frame);
     w.put(kind);
     w.put(kRecVersion);
-    w.put(static_cast<std::uint64_t>(payload.size()));
-    frame.insert(frame.end(), payload.begin(), payload.end());
-    w.put(crc32c(frame.data(), frame.size()));
+    w.put(std::uint64_t{0});
+}
+
+/**
+ * Close a frame: patch the payload length, append the CRC32C over
+ * everything before it. One buffer per record, so the append is a
+ * single write op — exactly the granularity the fault-injecting Io
+ * tears.
+ */
+void
+endRecord(std::vector<std::uint8_t>& frame)
+{
+    patchU64(frame, 2, frame.size() - (kRecordOverhead - 4));
+    ByteWriter(frame).put(crc32c(frame.data(), frame.size()));
+}
+
+/** Grid dimensions and owned cell range of a kRecShardRange record. */
+struct ShardRange
+{
+    std::size_t numShapes = 0;
+    std::size_t numRequests = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+std::vector<std::uint8_t>
+shardRangeRecord(const ShardRange& shard)
+{
+    std::vector<std::uint8_t> frame;
+    beginRecord(frame, kRecShardRange);
+    ByteWriter w(frame);
+    w.put(static_cast<std::uint64_t>(shard.numShapes));
+    w.put(static_cast<std::uint64_t>(shard.numRequests));
+    w.put(static_cast<std::uint64_t>(shard.begin));
+    w.put(static_cast<std::uint64_t>(shard.end));
+    endRecord(frame);
+    return frame;
+}
+
+std::vector<std::uint8_t>
+rowDoneRecord(std::size_t shape, std::size_t request,
+              std::uint64_t machine_digest, const RunResult& result)
+{
+    std::vector<std::uint8_t> frame;
+    beginRecord(frame, kRecRowDone);
+    ByteWriter w(frame);
+    w.put(static_cast<std::uint64_t>(shape));
+    w.put(static_cast<std::uint64_t>(request));
+    w.put(machine_digest);
+    saveRunResult(w, result);
+    endRecord(frame);
     return frame;
 }
 
 /**
- * Validate the record at @p at. Returns false on a torn or corrupt
- * frame (scan must stop). On success sets @p kind, @p rec_version,
- * @p payload / @p len and @p next.
+ * A checkpoint record of @p session's paused machine, its state
+ * serialized straight into the frame — a checkpoint can be tens of MB
+ * on large machines and is never copied. Empty when the session
+ * cannot checkpoint.
+ */
+std::vector<std::uint8_t>
+checkpointRecord(std::size_t shape, std::size_t request,
+                 Cycle pause_cycle, const SimSession& session)
+{
+    std::vector<std::uint8_t> frame;
+    beginRecord(frame, kRecCheckpoint);
+    ByteWriter w(frame);
+    w.put(static_cast<std::uint64_t>(shape));
+    w.put(static_cast<std::uint64_t>(request));
+    w.put(pause_cycle);
+    const std::size_t lenAt = frame.size();
+    w.put(std::uint64_t{0}); // state length, patched below
+    if (!session.saveCheckpoint(frame))
+        return {};
+    patchU64(frame, lenAt, frame.size() - lenAt - sizeof(std::uint64_t));
+    endRecord(frame);
+    return frame;
+}
+
+/**
+ * Validate the frame at @p at. Returns false on a torn or corrupt
+ * frame (the walk must stop). On success sets @p kind,
+ * @p rec_version, @p payload / @p len and @p next.
  */
 bool
 checkRecord(const std::vector<std::uint8_t>& bytes, std::size_t at,
@@ -135,19 +186,167 @@ checkRecord(const std::vector<std::uint8_t>& bytes, std::size_t at,
             const std::uint8_t*& payload, std::size_t& len,
             std::size_t& next)
 {
-    if (bytes.size() - at < kRecordOverhead)
-        return false;
-    kind = bytes[at];
-    rec_version = bytes[at + 1];
-    const std::uint64_t n = readU64(bytes.data() + at + 2);
-    if (n > bytes.size() - at - kRecordOverhead)
+    ByteReader r(bytes.data() + at, bytes.size() - at);
+    kind = r.get<std::uint8_t>();
+    rec_version = r.get<std::uint8_t>();
+    const auto n = r.get<std::uint64_t>();
+    if (!r.ok() || r.remaining() < 4 || n > r.remaining() - 4)
         return false; // torn tail
     len = static_cast<std::size_t>(n);
-    payload = bytes.data() + at + 10;
-    const std::uint32_t want = readU32(payload + len);
-    if (crc32c(bytes.data() + at, 10 + len) != want)
+    payload = bytes.data() + at + (kRecordOverhead - 4);
+    ByteReader crc(payload + len, 4);
+    if (crc32c(bytes.data() + at, kRecordOverhead - 4 + len) !=
+        crc.get<std::uint32_t>())
         return false; // corrupt frame
     next = at + kRecordOverhead + len;
+    return true;
+}
+
+/**
+ * One decoded record: the shard range (kRecShardRange), the cell
+ * (row-done, checkpoint), digest and result (row-done), or pause
+ * cycle and machine state — a view into the journal image, never a
+ * copy (checkpoint).
+ */
+struct JournalRecord
+{
+    ShardRange shard;
+    std::size_t shape = 0;
+    std::size_t request = 0;
+    std::uint64_t machineDigest = 0;
+    RunResult result;
+    Cycle pauseCycle = 0;
+    const std::uint8_t* state = nullptr;
+    std::size_t stateLen = 0;
+};
+
+/**
+ * Decode the payload of a CRC-valid frame of a known kind. False when
+ * it does not decode — damage the CRC could not see (or a writer
+ * bug), treated exactly like a corrupt frame.
+ */
+bool
+decodeRecord(std::uint8_t kind, const std::uint8_t* payload,
+             std::size_t len, JournalRecord& rec)
+{
+    ByteReader r(payload, len);
+    if (kind == kRecShardRange) {
+        rec.shard.numShapes = r.get<std::uint64_t>();
+        rec.shard.numRequests = r.get<std::uint64_t>();
+        rec.shard.begin = r.get<std::uint64_t>();
+        rec.shard.end = r.get<std::uint64_t>();
+        return r.ok();
+    }
+    rec.shape = r.get<std::uint64_t>();
+    rec.request = r.get<std::uint64_t>();
+    if (kind == kRecRowDone) {
+        rec.machineDigest = r.get<std::uint64_t>();
+        return loadRunResult(r, rec.result);
+    }
+    rec.pauseCycle = r.get<Cycle>();
+    const auto stateLen = r.get<std::uint64_t>();
+    if (!r.ok() || rec.pauseCycle < 0 || stateLen != r.remaining())
+        return false;
+    rec.state = payload + (len - r.remaining());
+    rec.stateLen = static_cast<std::size_t>(stateLen);
+    return true;
+}
+
+using GridKey = std::pair<std::size_t, std::size_t>; // (shape, request)
+
+/** A row's latest checkpoint: a view into the journal image. */
+struct JournalCheckpoint
+{
+    Cycle pauseCycle = 0;
+    const std::uint8_t* state = nullptr;
+    std::size_t stateLen = 0;
+    CheckpointInfo info;
+};
+
+/** What a journal image replays to. */
+struct JournalReplay
+{
+    std::uint64_t configDigest = 0;
+    /** Header plus every record before the first torn, corrupt or
+     *  undecodable one. */
+    std::size_t validPrefix = 0;
+    bool sharded = false;
+    ShardRange shard;
+    /** Finished rows; a later record for the same cell wins. */
+    std::map<GridKey, SweepMergeRow> rows;
+    /** Unfinished rows' latest checkpoint whose header peeks. */
+    std::map<GridKey, JournalCheckpoint> inflight;
+};
+
+/**
+ * Replay a journal image — the one fold behind resume, inspect and
+ * merge, so all three agree on every image. Returns false when the
+ * header is not a v3 journal. The walk stops at the first torn,
+ * corrupt or undecodable record; a CRC-valid frame of an unknown kind
+ * or record version skips (forward compatibility). Cells outside the
+ * grid — @p num_shapes x @p num_requests when the caller knows it,
+ * else the shard-range record's, else unbounded — are skipped.
+ * Checkpoint views point into @p image.
+ */
+bool
+readJournal(const std::vector<std::uint8_t>& image,
+            std::size_t num_shapes, std::size_t num_requests,
+            JournalReplay& out)
+{
+    out = JournalReplay{};
+    ByteReader header(image.data(), image.size());
+    if (header.get<std::uint32_t>() != kJournalMagic ||
+        header.get<std::uint32_t>() != kJournalVersion)
+        return false;
+    out.configDigest = header.get<std::uint64_t>();
+    if (!header.ok())
+        return false;
+    out.validPrefix = kJournalHeader;
+
+    const bool gridGiven = num_shapes > 0;
+    JournalRecord rec;
+    std::uint8_t kind;
+    std::uint8_t recVersion;
+    const std::uint8_t* payload;
+    std::size_t len;
+    std::size_t next;
+    for (std::size_t at = kJournalHeader;
+         checkRecord(image, at, kind, recVersion, payload, len, next);
+         at = next) {
+        const bool known = recVersion == kRecVersion &&
+                           kind >= kRecRowDone && kind <= kRecShardRange;
+        if (known && !decodeRecord(kind, payload, len, rec))
+            break;
+        out.validPrefix = next;
+        if (!known)
+            continue;
+        if (kind == kRecShardRange) {
+            out.sharded = true;
+            out.shard = rec.shard;
+            if (!gridGiven) {
+                num_shapes = rec.shard.numShapes;
+                num_requests = rec.shard.numRequests;
+            }
+            continue;
+        }
+        if (num_shapes > 0 &&
+            (rec.shape >= num_shapes || rec.request >= num_requests))
+            continue;
+        const GridKey key{rec.shape, rec.request};
+        if (kind == kRecRowDone) {
+            SweepMergeRow& row = out.rows[key];
+            row.shape = rec.shape;
+            row.request = rec.request;
+            row.machineDigest = rec.machineDigest;
+            row.result = std::move(rec.result);
+            out.inflight.erase(key);
+            continue;
+        }
+        JournalCheckpoint ck{rec.pauseCycle, rec.state, rec.stateLen, {}};
+        if (out.rows.count(key) == 0 &&
+            peekCheckpointInfo(ck.state, ck.stateLen, ck.info))
+            out.inflight[key] = std::move(ck); // latest wins
+    }
     return true;
 }
 
@@ -275,15 +474,12 @@ struct ShapeSweep::Journal
     bool failed = false;
     std::string failure;
 
-    struct Checkpoint
-    {
-        Cycle pauseCycle = 0;
-        std::vector<std::uint8_t> bytes;
-    };
+    /** The journal image the checkpoint views below point into. */
+    std::vector<std::uint8_t> image;
     /** Grid index -> finished row replayed from a previous run. */
     std::unordered_map<std::size_t, ShapeSweepRow> done;
     /** Grid index -> latest mid-run machine checkpoint. */
-    std::unordered_map<std::size_t, Checkpoint> checkpoints;
+    std::unordered_map<std::size_t, JournalCheckpoint> checkpoints;
 
     ~Journal()
     {
@@ -292,22 +488,19 @@ struct ShapeSweep::Journal
     }
 
     /**
-     * Append one record; returns false once the record budget is
-     * exhausted (the record that hit the limit is still written, so
-     * a resume finds it). An IO *failure* does not return false —
+     * Append one framed record; returns false once the record budget
+     * is exhausted (the record that hit the limit is still written,
+     * so a resume finds it). An IO *failure* does not return false —
      * stopping the sweep would turn a disk problem into lost compute.
      * Instead journaling latches off (failed/failure, surfaced as
      * ShapeSweepResult::journalError) and the sweep runs on; the rows
      * a crash would now lose simply recompute on the next resume.
+     * Frames are built (and CRC'd) by the caller, outside the mutex,
+     * so a multi-MB checkpoint never stalls other workers' commits.
      */
     bool
-    append(std::uint8_t kind, const std::vector<std::uint8_t>& payload)
+    append(const std::vector<std::uint8_t>& frame)
     {
-        // The CRC walk can cover a multi-MB checkpoint; frame before
-        // taking the mutex so it never stalls other workers' row
-        // commits.
-        const std::vector<std::uint8_t> frame =
-            frameRecord(kind, payload);
         std::lock_guard<std::mutex> lock(mutex);
         if (stopped)
             return false;
@@ -328,95 +521,49 @@ struct ShapeSweep::Journal
     }
 
     /**
-     * Parse a journal image. Returns false when the header does not
+     * Adopt a journal image. Returns false when the header does not
      * name this exact sweep, or when the journal's shard-range record
      * disagrees with this run's shard (a sharded journal must never
      * resume an unsharded run, a different shard, or a different
-     * grid — then the caller restarts the file). Record parsing
-     * stops at the first torn or corrupt record — everything before
-     * it is still replayed, and @p valid_prefix reports how many
+     * grid — then the caller restarts the file). Otherwise every
+     * sound record is replayed, and @p valid_prefix reports how many
      * leading bytes were sound so the caller can truncate the tail
      * away before appending (appending *after* garbage would strand
      * every later record behind it on the next load).
      */
     bool
-    load(const std::vector<std::uint8_t>& bytes, std::uint64_t cfg,
-         std::size_t num_shapes, std::size_t num_requests,
-         bool sharded, std::size_t shard_begin, std::size_t shard_end,
+    load(std::vector<std::uint8_t> bytes, std::uint64_t cfg,
+         bool sharded, const ShardRange& shard,
          std::size_t& valid_prefix)
     {
         valid_prefix = 0;
-        if (bytes.size() < kJournalHeader)
+        JournalReplay replay;
+        if (!readJournal(bytes, shard.numShapes, shard.numRequests,
+                         replay) ||
+            replay.configDigest != cfg || replay.sharded != sharded ||
+            (sharded && (replay.shard.numShapes != shard.numShapes ||
+                         replay.shard.numRequests != shard.numRequests ||
+                         replay.shard.begin != shard.begin ||
+                         replay.shard.end != shard.end)))
             return false;
-        if (readU32(bytes.data()) != kJournalMagic ||
-            readU32(bytes.data() + 4) != kJournalVersion ||
-            readU64(bytes.data() + 8) != cfg)
-            return false;
-        valid_prefix = kJournalHeader;
-
-        bool sawShard = false;
-        std::size_t at = kJournalHeader;
-        std::uint8_t kind;
-        std::uint8_t recVersion;
-        const std::uint8_t* payload;
-        std::size_t len;
-        std::size_t next;
-        while (checkRecord(bytes, at, kind, recVersion, payload, len,
-                           next)) {
-            // A CRC-valid frame of an unknown record version or kind
-            // skips harmlessly: forward compatibility.
-            ByteReader r(payload, len);
-            if (kind == kRecShardRange && recVersion == kRecVersion) {
-                const auto jShapes = r.get<std::uint64_t>();
-                const auto jRequests = r.get<std::uint64_t>();
-                const auto jBegin = r.get<std::uint64_t>();
-                const auto jEnd = r.get<std::uint64_t>();
-                if (!r.ok() || !sharded || jShapes != num_shapes ||
-                    jRequests != num_requests || jBegin != shard_begin ||
-                    jEnd != shard_end)
-                    return false;
-                sawShard = true;
-                at = next;
-                valid_prefix = at;
-                continue;
-            }
-            const auto shape = r.get<std::uint64_t>();
-            const auto request = r.get<std::uint64_t>();
-            const bool inGrid = recVersion == kRecVersion && r.ok() &&
-                                shape < num_shapes &&
-                                request < num_requests;
-            const std::size_t idx =
-                static_cast<std::size_t>(shape) * num_requests +
-                static_cast<std::size_t>(request);
-            if (kind == kRecRowDone && recVersion == kRecVersion) {
-                ShapeSweepRow row;
-                row.shape = static_cast<std::size_t>(shape);
-                row.request = static_cast<std::size_t>(request);
-                row.machineDigest = r.get<std::uint64_t>();
-                if (!loadRunResult(r, row.result))
-                    break;
-                if (inGrid) {
-                    row.fromJournal = true;
-                    row.finished = true;
-                    done[idx] = std::move(row);
-                    checkpoints.erase(idx);
-                }
-            } else if (kind == kRecCheckpoint &&
-                       recVersion == kRecVersion) {
-                Checkpoint ck;
-                ck.pauseCycle = r.get<Cycle>();
-                if (!r.getVector(ck.bytes))
-                    break;
-                if (inGrid && done.find(idx) == done.end())
-                    checkpoints[idx] = std::move(ck); // latest wins
-            }
-            at = next;
-            valid_prefix = at;
+        valid_prefix = replay.validPrefix;
+        for (auto& [key, jrow] : replay.rows) {
+            ShapeSweepRow& row = done[key.first * shard.numRequests +
+                                      key.second];
+            row.shape = key.first;
+            row.request = key.second;
+            row.machineDigest = jrow.machineDigest;
+            row.result = std::move(jrow.result);
+            row.fromJournal = true;
+            row.finished = true;
         }
-        // A sharded run must find its own shard record (an unsharded
-        // journal for the same sweep is a different file's worth of
-        // rows — restart rather than adopt it).
-        return !sharded || sawShard;
+        for (auto& [key, ck] : replay.inflight)
+            checkpoints[key.first * shard.numRequests + key.second] =
+                std::move(ck);
+        // Moving the vector keeps its buffer, so the views stay valid.
+        if (!checkpoints.empty())
+            image = std::move(bytes);
+        return true;
     }
 };
 
@@ -490,15 +637,8 @@ ShapeSweep::ShapeSweep(const Program& program, SharedTopology topo,
       options_(std::move(options))
 {
     specs_.reserve(shapes_.size());
-    for (const ShapeSpec& shape : shapes_) {
-        MachineSpec spec;
-        spec.topo = topo_;
-        spec.queuesPerLink = shape.queuesPerLink;
-        spec.queueCapacity = shape.queueCapacity;
-        spec.extensionCapacity = shape.extensionCapacity;
-        spec.extensionPenalty = shape.extensionPenalty;
-        specs_.push_back(std::move(spec));
-    }
+    for (const ShapeSpec& shape : shapes_)
+        specs_.push_back(shape.machine(topo_));
     pools_.reserve(shapes_.size());
     for (std::size_t s = 0; s < shapes_.size(); ++s)
         pools_.push_back(std::make_unique<ShapePool>());
@@ -549,6 +689,8 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         sharded ? std::min(options_.shardBegin, totalCells) : 0;
     const std::size_t shardEnd =
         sharded ? std::min(options_.shardEnd, totalCells) : totalCells;
+    const ShardRange shard{shapes_.size(), requests.size(), shardBegin,
+                           shardEnd};
     out.sharded = sharded;
     out.shardBegin = shardBegin;
     out.shardEnd = shardEnd;
@@ -565,18 +707,18 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         const std::uint64_t cfg = configDigest(
             program_, topo_, options_.session, options_.programVersion,
             shapes_, requests);
-        const std::vector<std::uint8_t> bytes =
+        std::vector<std::uint8_t> bytes =
             readWholeFile(io, options_.journalPath);
+        const std::size_t fileSize = bytes.size();
         std::size_t validPrefix = 0;
         if (!bytes.empty() &&
-            journal->load(bytes, cfg, shapes_.size(), requests.size(),
-                          sharded, shardBegin, shardEnd,
+            journal->load(std::move(bytes), cfg, sharded, shard,
                           validPrefix)) {
             // A kill mid-append leaves a torn record; cut it off
             // before appending, or every record this run writes
             // would sit behind garbage and be unreachable on the
             // next load.
-            if (validPrefix < bytes.size())
+            if (validPrefix < fileSize)
                 truncateFile(io, options_.journalPath, validPrefix);
             journal->file = io.openWrite(options_.journalPath,
                                          /*append=*/true,
@@ -584,8 +726,6 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         } else {
             // Fresh sweep (or a journal for some other sweep):
             // restart the file with this sweep's header.
-            journal->done.clear();
-            journal->checkpoints.clear();
             journal->file = io.openWrite(options_.journalPath,
                                          /*append=*/false,
                                          journalOpenError);
@@ -597,11 +737,8 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                     // part of what names this journal, not a row, so
                     // it never consumes the record budget and is
                     // present from the first byte of a shard file.
-                    const std::vector<std::uint8_t> rec = frameRecord(
-                        kRecShardRange,
-                        shardRangePayload(shapes_.size(),
-                                          requests.size(), shardBegin,
-                                          shardEnd));
+                    const std::vector<std::uint8_t> rec =
+                        shardRangeRecord(shard);
                     header.insert(header.end(), rec.begin(),
                                   rec.end());
                 }
@@ -643,21 +780,7 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         if (!out.rows[idx].finished)
             work.push_back(idx);
     }
-    // The legacy scheduler claims whole shapes; kept only so the
-    // bit-identity suite can prove cell-granular == shape-granular.
-    std::vector<std::size_t> shapeWork;
-    if (options_.shapeGranularDispatch && !requests.empty()) {
-        for (std::size_t idx : work) {
-            const std::size_t s = idx / requests.size();
-            if (shapeWork.empty() || shapeWork.back() != s)
-                shapeWork.push_back(s);
-        }
-    }
-    const std::size_t numItems = options_.shapeGranularDispatch
-                                     ? shapeWork.size()
-                                     : work.size();
-
-    const int workers = clampWorkers(options_.numWorkers, numItems);
+    const int workers = clampWorkers(options_.numWorkers, work.size());
     // Sessions checked out per cell, at most this many live per
     // shape. More than one per worker can never run concurrently.
     int sessionBound = options_.maxSessionsPerShape > 0
@@ -719,11 +842,20 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         RunResult res;
         if (journalRow && options_.checkpointEvery > 0) {
             const Cycle every = options_.checkpointEvery;
+            // The next pause point after @p at; 0 (run to the end)
+            // where the sum would overflow — only a damaged journal
+            // carries such a pause cycle.
+            auto nextPause = [every](Cycle at) {
+                return at > std::numeric_limits<Cycle>::max() - every
+                           ? Cycle{0}
+                           : at + every;
+            };
             auto ck = journal->checkpoints.find(idx);
             if (ck != journal->checkpoints.end() &&
-                session.restoreCheckpoint(request, ck->second.bytes)) {
+                session.restoreCheckpoint(request, ck->second.state,
+                                          ck->second.stateLen)) {
                 ++restored;
-                res = session.resume(ck->second.pauseCycle + every);
+                res = session.resume(nextPause(ck->second.pauseCycle));
             } else {
                 // No checkpoint (or a stale/corrupt one the
                 // session rejected): run from the start.
@@ -732,27 +864,10 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                 res = session.run(first);
             }
             while (res.status == RunStatus::kPaused) {
-                // Serialize the machine state straight into the
-                // record payload (length patched in afterwards)
-                // — a checkpoint can be tens of MB on large
-                // machines and does not want an extra copy.
-                std::vector<std::uint8_t> payload;
-                ByteWriter w(payload);
-                w.put(static_cast<std::uint64_t>(s));
-                w.put(static_cast<std::uint64_t>(r));
-                w.put(res.cycles);
-                const std::size_t lenAt = payload.size();
-                w.put(std::uint64_t{0});
-                if (session.saveCheckpoint(payload)) {
-                    const std::uint64_t stateLen =
-                        payload.size() - lenAt - sizeof stateLen;
-                    // Patch the length in little-endian to match
-                    // the getVector that reads it back.
-                    for (std::size_t b = 0; b < sizeof stateLen; ++b)
-                        payload[lenAt + b] =
-                            static_cast<std::uint8_t>(stateLen >>
-                                                      (8 * b));
-                    if (!journal->append(kRecCheckpoint, payload)) {
+                const std::vector<std::uint8_t> frame =
+                    checkpointRecord(s, r, res.cycles, session);
+                if (!frame.empty()) {
+                    if (!journal->append(frame)) {
                         // Budget exhausted mid-run: the row is
                         // checkpointed; the resume picks it up.
                         stop.store(true, std::memory_order_relaxed);
@@ -763,7 +878,7 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
                     if (stopRequested())
                         return;
                 }
-                res = session.resume(res.cycles + every);
+                res = session.resume(nextPause(res.cycles));
             }
         } else {
             res = session.run(request);
@@ -772,38 +887,17 @@ ShapeSweep::run(const std::vector<RunRequest>& requests)
         row.machineDigest = session.machineDigest();
         row.finished = true;
         if (journalRow) {
-            std::vector<std::uint8_t> payload;
-            ByteWriter w(payload);
-            w.put(static_cast<std::uint64_t>(s));
-            w.put(static_cast<std::uint64_t>(r));
-            w.put(row.machineDigest);
-            saveRunResult(w, row.result);
-            if (!journal->append(kRecRowDone, payload)) {
+            if (!journal->append(rowDoneRecord(s, r, row.machineDigest,
+                                               row.result))) {
                 stop.store(true, std::memory_order_relaxed);
                 return;
             }
         }
     };
 
-    if (options_.shapeGranularDispatch) {
-        auto job = [&](int, std::size_t workIdx) {
-            const std::size_t s = shapeWork[workIdx];
-            for (std::size_t r = 0; r < requests.size(); ++r) {
-                const std::size_t idx = s * requests.size() + r;
-                if (idx < shardBegin || idx >= shardEnd)
-                    continue;
-                if (stopRequested())
-                    return;
-                runCell(idx);
-            }
-        };
-        pool_.dispatch(workers, shapeWork.size(), job);
-    } else {
-        auto job = [&](int, std::size_t workIdx) {
-            runCell(work[workIdx]);
-        };
-        pool_.dispatch(workers, work.size(), job);
-    }
+    pool_.dispatch(workers, work.size(), [&](int, std::size_t workIdx) {
+        runCell(work[workIdx]);
+    });
 
     if (journal && journal->failed) {
         out.journalError = true;
@@ -829,74 +923,27 @@ inspectSweepJournal(const std::string& path, SweepJournalInfo& out)
     out = SweepJournalInfo{};
     const std::vector<std::uint8_t> bytes =
         readWholeFile(serve::Io::system(), path);
-    if (bytes.size() < kJournalHeader)
+    // The inspector knows neither the sweep's config nor (for an
+    // unsharded journal) its grid, so it replays without either;
+    // otherwise it sees exactly what a resume would replay.
+    JournalReplay replay;
+    if (!readJournal(bytes, 0, 0, replay))
         return false;
-    if (readU32(bytes.data()) != kJournalMagic ||
-        readU32(bytes.data() + 4) != kJournalVersion)
-        return false;
-    out.configDigest = readU64(bytes.data() + 8);
-
-    // The same walk Journal::load does, minus the grid bounds (the
-    // inspector does not know the sweep's dimensions) and minus the
-    // config check (it reports on journals for *any* sweep). Torn or
-    // corrupt records stop the scan, so the progress reported is
-    // exactly what a resume would replay.
-    std::map<std::pair<std::size_t, std::size_t>, CheckpointInfo> live;
-    std::size_t at = kJournalHeader;
-    std::uint8_t kind;
-    std::uint8_t recVersion;
-    const std::uint8_t* payload;
-    std::size_t len;
-    std::size_t next;
-    while (checkRecord(bytes, at, kind, recVersion, payload, len,
-                       next)) {
-        ByteReader r(payload, len);
-        if (kind == kRecShardRange && recVersion == kRecVersion) {
-            const auto jShapes = r.get<std::uint64_t>();
-            const auto jRequests = r.get<std::uint64_t>();
-            const auto jBegin = r.get<std::uint64_t>();
-            const auto jEnd = r.get<std::uint64_t>();
-            if (r.ok()) {
-                out.sharded = true;
-                out.numShapes = static_cast<std::size_t>(jShapes);
-                out.numRequests = static_cast<std::size_t>(jRequests);
-                out.shardBegin = static_cast<std::size_t>(jBegin);
-                out.shardEnd = static_cast<std::size_t>(jEnd);
-            }
-            at = next;
-            continue;
-        }
-        const auto shape =
-            static_cast<std::size_t>(r.get<std::uint64_t>());
-        const auto request =
-            static_cast<std::size_t>(r.get<std::uint64_t>());
-        if (kind == kRecRowDone && recVersion == kRecVersion) {
-            if (r.ok()) {
-                ++out.rowsDone;
-                live.erase({shape, request});
-            }
-        } else if (kind == kRecCheckpoint &&
-                   recVersion == kRecVersion) {
-            r.get<Cycle>(); // pause cycle (also in the header below)
-            const auto stateLen = r.get<std::uint64_t>();
-            CheckpointInfo info;
-            if (r.ok() && stateLen <= r.remaining() &&
-                peekCheckpointInfo(payload + (len - r.remaining()),
-                                   static_cast<std::size_t>(stateLen),
-                                   info)) {
-                live[{shape, request}] = std::move(info);
-            }
-        }
-        at = next;
-    }
-    out.inflight.reserve(live.size());
-    for (auto& [key, info] : live) {
+    out.configDigest = replay.configDigest;
+    out.rowsDone = replay.rows.size();
+    out.inflight.reserve(replay.inflight.size());
+    for (auto& [key, ck] : replay.inflight) {
         SweepJournalRow row;
         row.shape = key.first;
         row.request = key.second;
-        row.info = std::move(info);
+        row.info = std::move(ck.info);
         out.inflight.push_back(std::move(row));
     }
+    out.sharded = replay.sharded;
+    out.numShapes = replay.shard.numShapes;
+    out.numRequests = replay.shard.numRequests;
+    out.shardBegin = replay.shard.begin;
+    out.shardEnd = replay.shard.end;
     return true;
 }
 
@@ -912,93 +959,59 @@ mergeSweepJournals(const std::vector<std::string>& paths,
     }
 
     bool haveCfg = false;
-    std::map<std::pair<std::size_t, std::size_t>, SweepMergeRow> rows;
+    std::map<GridKey, SweepMergeRow> rows;
     for (const std::string& path : paths) {
         const std::vector<std::uint8_t> bytes =
             readWholeFile(serve::Io::system(), path);
-        if (bytes.size() < kJournalHeader ||
-            readU32(bytes.data()) != kJournalMagic ||
-            readU32(bytes.data() + 4) != kJournalVersion) {
+        // Each file replays exactly as a resume would: torn/corrupt
+        // tails stop its walk (its missing rows simply are not
+        // merged) and in-flight checkpoints are not merge material.
+        JournalReplay replay;
+        if (!readJournal(bytes, 0, 0, replay)) {
             error = path + ": not a v3 sweep journal";
             return false;
         }
-        const std::uint64_t cfg = readU64(bytes.data() + 8);
         if (!haveCfg) {
-            out.configDigest = cfg;
+            out.configDigest = replay.configDigest;
             haveCfg = true;
-        } else if (cfg != out.configDigest) {
+        } else if (replay.configDigest != out.configDigest) {
             error = path +
                     ": config digest mismatch — the journals "
                     "describe different sweeps";
             return false;
         }
-
-        // Same tolerant walk as a resume: torn/corrupt tails stop
-        // this file's scan (its missing rows simply are not merged),
-        // unknown kinds skip.
-        std::size_t at = kJournalHeader;
-        std::uint8_t kind;
-        std::uint8_t recVersion;
-        const std::uint8_t* payload;
-        std::size_t len;
-        std::size_t next;
-        while (checkRecord(bytes, at, kind, recVersion, payload, len,
-                           next)) {
-            ByteReader r(payload, len);
-            if (kind == kRecShardRange && recVersion == kRecVersion) {
-                const auto jShapes = r.get<std::uint64_t>();
-                const auto jRequests = r.get<std::uint64_t>();
-                r.get<std::uint64_t>(); // shardBegin (informational)
-                r.get<std::uint64_t>(); // shardEnd
-                if (r.ok()) {
-                    if (out.numShapes != 0 &&
-                        (out.numShapes != jShapes ||
-                         out.numRequests != jRequests)) {
-                        error = path +
-                                ": shard-range grid dimensions "
-                                "disagree with an earlier journal";
-                        return false;
-                    }
-                    out.numShapes =
-                        static_cast<std::size_t>(jShapes);
-                    out.numRequests =
-                        static_cast<std::size_t>(jRequests);
-                }
-            } else if (kind == kRecRowDone &&
-                       recVersion == kRecVersion) {
-                SweepMergeRow row;
-                row.shape =
-                    static_cast<std::size_t>(r.get<std::uint64_t>());
-                row.request =
-                    static_cast<std::size_t>(r.get<std::uint64_t>());
-                row.machineDigest = r.get<std::uint64_t>();
-                if (!loadRunResult(r, row.result) || !r.ok())
-                    break;
-                const auto key = std::make_pair(row.shape, row.request);
-                auto it = rows.find(key);
-                if (it == rows.end()) {
-                    rows.emplace(key, std::move(row));
-                } else {
-                    // The per-rung cross-check: overlapping shards
-                    // must agree bit-for-bit — a disagreement is a
-                    // determinism violation, never silently resolved.
-                    if (it->second.machineDigest != row.machineDigest ||
-                        it->second.result.status != row.result.status ||
-                        it->second.result.cycles != row.result.cycles) {
-                        error = path + ": row (" +
-                                std::to_string(row.shape) + ", " +
-                                std::to_string(row.request) +
-                                ") disagrees with another journal "
-                                "(machine digest or result differs)";
-                        return false;
-                    }
-                    ++it->second.sources;
-                    ++out.duplicateRows;
-                }
+        if (replay.sharded) {
+            if (out.numShapes != 0 &&
+                (out.numShapes != replay.shard.numShapes ||
+                 out.numRequests != replay.shard.numRequests)) {
+                error = path +
+                        ": shard-range grid dimensions "
+                        "disagree with an earlier journal";
+                return false;
             }
-            // kRecCheckpoint (in-flight state) and unknown kinds are
-            // not merge material.
-            at = next;
+            out.numShapes = replay.shard.numShapes;
+            out.numRequests = replay.shard.numRequests;
+        }
+        for (auto& [key, jrow] : replay.rows) {
+            auto it = rows.find(key);
+            if (it == rows.end()) {
+                rows.emplace(key, std::move(jrow));
+                continue;
+            }
+            // The per-rung cross-check: overlapping shards must agree
+            // bit-for-bit — a disagreement is a determinism
+            // violation, never silently resolved.
+            if (it->second.machineDigest != jrow.machineDigest ||
+                it->second.result.status != jrow.result.status ||
+                it->second.result.cycles != jrow.result.cycles) {
+                error = path + ": row (" + std::to_string(key.first) +
+                        ", " + std::to_string(key.second) +
+                        ") disagrees with another journal "
+                        "(machine digest or result differs)";
+                return false;
+            }
+            ++it->second.sources;
+            ++out.duplicateRows;
         }
     }
 
@@ -1028,6 +1041,14 @@ mergeSweepJournals(const std::vector<std::string>& paths,
         out.numShapes != 0 ? out.numShapes
         : out.rows.empty() ? 0
                            : maxShape + 1;
+    // One digest slot per rung: a damaged shape index or grid record
+    // must not size the table.
+    if (numDigests > kMaxMergeShapes) {
+        error = "a " + std::to_string(numDigests) +
+                "-shape grid is beyond what sweep-merge accepts (" +
+                std::to_string(kMaxMergeShapes) + " shapes)";
+        return false;
+    }
     out.shapeDigests.assign(numDigests, kFnvOffsetBasis);
     // Rows are in grid order already (map iteration), so each rung's
     // fold sees its digests in request order — the same fold over an

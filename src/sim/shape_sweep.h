@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/batch.h"
@@ -76,6 +77,19 @@ struct ShapeSpec
     int queueCapacity = 1;
     int extensionCapacity = 0;
     int extensionPenalty = 4;
+
+    /** The full MachineSpec this shape resolves to over @p topo. */
+    MachineSpec
+    machine(SharedTopology topo) const
+    {
+        MachineSpec spec;
+        spec.topo = std::move(topo);
+        spec.queuesPerLink = queuesPerLink;
+        spec.queueCapacity = queueCapacity;
+        spec.extensionCapacity = extensionCapacity;
+        spec.extensionPenalty = extensionPenalty;
+        return spec;
+    }
 };
 
 /** Sweep-wide knobs. */
@@ -103,14 +117,6 @@ struct ShapeSweepOptions
      * blocks until a peer checks one back in.
      */
     int maxSessionsPerShape = 0;
-    /**
-     * Legacy scheduler: claim whole shapes instead of grid cells (one
-     * worker per shape, exactly the pre-cell-granular dispatch). Kept
-     * because the bit-identity suite proves cell-granular == serial
-     * == shape-granular; useless otherwise — a skewed ladder leaves
-     * workers idle behind its longest rung.
-     */
-    bool shapeGranularDispatch = false;
     /**
      * Multi-process sharding: when shardEnd > shardBegin, this run
      * only executes grid cells in [shardBegin, shardEnd) of the
@@ -290,9 +296,14 @@ struct SweepJournalInfo
 
 /**
  * Parse @p path as a ShapeSweep journal. Returns false when the file
- * is missing, too short, or not a journal of the current version. A
- * torn or corrupt record stops the scan — everything sound before it
- * is still counted, exactly mirroring what a resume would replay.
+ * is missing, too short, or not a journal of the current version.
+ * Resume, this inspector and mergeSweepJournals replay a journal
+ * through one decoder, so a torn, corrupt or undecodable record stops
+ * all three at the same place and the rows counted here are exactly
+ * the rows a resume would replay. (An unsharded journal does not
+ * record its grid: a row the resume drops as out of grid — only
+ * damage that kept its CRC valid can make one — is still counted
+ * here.)
  */
 bool inspectSweepJournal(const std::string& path, SweepJournalInfo& out);
 
@@ -336,14 +347,17 @@ struct SweepMergeResult
 
 /**
  * Merge N shard journals (any mix of sharded and unsharded, any
- * order) into one summary. Hard failures — returns false with @p
- * error set, out invalid: an unreadable or non-journal file, a
- * config-digest disagreement (the journals describe different
- * sweeps), shard-range records that disagree on grid dimensions, or
- * two journals carrying the same (shape, request) with a different
- * machine digest or result (a determinism violation, never silently
- * dropped). In-flight checkpoints are ignored — merging summarizes
- * finished rows; resume each shard with its own journal to finish it.
+ * order) into one summary. Each file yields exactly the rows a resume
+ * of it would replay (inspectSweepJournal's decoder). Hard failures —
+ * returns false with @p error set, out invalid: an unreadable or
+ * non-journal file, a config-digest disagreement (the journals
+ * describe different sweeps), shard-range records that disagree on
+ * grid dimensions, two journals carrying the same (shape, request)
+ * with a different machine digest or result (a determinism
+ * violation, never silently dropped), or a grid wider than 2^20
+ * shapes (one digest slot each). In-flight checkpoints are ignored —
+ * merging summarizes finished rows; resume each shard with its own
+ * journal to finish it.
  */
 bool mergeSweepJournals(const std::vector<std::string>& paths,
                         SweepMergeResult& out, std::string& error);

@@ -11,15 +11,21 @@
  *    read back / resume identically;
  *  - peekCheckpointInfo survives ~1k seeded truncations and bit
  *    flips without ever reading out of bounds (the ASan job turns
- *    "never" into a hard guarantee) and rejects torn headers.
+ *    "never" into a hard guarantee) and rejects torn headers, and
+ *    restore refuses every header peek refuses;
+ *  - ~1k seeded journal payload mutations, each frame's CRC32C
+ *    recomputed so the damage reaches the decoder: resume, inspect
+ *    and merge never crash and agree on the finished rows.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "core/mix.h"
 #include "serve/io.h"
 #include "sim/crc32c.h"
 #include "sim/serial.h"
@@ -41,16 +47,6 @@ using sim::ShapeSweep;
 using sim::ShapeSweepOptions;
 using sim::ShapeSweepResult;
 using sim::SimSession;
-
-/** splitmix64 — the tests' deterministic fuzz source. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** RAII guard so a failing test cannot leak the global flag. */
 struct SwappedWriter
@@ -312,10 +308,12 @@ TEST(PortableFormat, PeekCheckpointInfoSurvivesTruncationAndBitFlipFuzz)
                                      (bytes.size() + 1));
         const bool parsed =
             sim::peekCheckpointInfo(bytes.data(), cut, info);
-        if (cut < kFixedHeader)
+        if (cut < kFixedHeader) {
             EXPECT_FALSE(parsed) << "cut " << cut;
-        if (parsed)
+        }
+        if (parsed) {
             EXPECT_EQ(info.writeSeq.size(), info.readSeq.size());
+        }
     }
 
     // 500 seeded bit flips (plus a truncation half the time): parse
@@ -337,6 +335,165 @@ TEST(PortableFormat, PeekCheckpointInfoSurvivesTruncationAndBitFlipFuzz)
             EXPECT_GE(info.cycles, 0);
         }
     }
+}
+
+TEST(PortableFormat, RestoreRefusesWhatPeekRefuses)
+{
+    Program p = longRunProgram();
+    MachineSpec spec;
+    spec.topo = Topology::linearArray(4);
+    spec.queuesPerLink = 2;
+    SimSession session(p, spec);
+    RunRequest paused;
+    paused.pauseAt = 60;
+    ASSERT_EQ(session.run(paused).status, RunStatus::kPaused);
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(session.saveCheckpoint(bytes));
+
+    // resumeFrom sits at byte 25 of the header, cycles at byte 33.
+    for (std::size_t at : {std::size_t{25}, std::size_t{33}}) {
+        std::vector<std::uint8_t> mutated = bytes;
+        const std::uint64_t minus5 = static_cast<std::uint64_t>(-5);
+        for (std::size_t b = 0; b < 8; ++b)
+            mutated[at + b] = static_cast<std::uint8_t>(minus5 >> (8 * b));
+        CheckpointInfo info;
+        EXPECT_FALSE(sim::peekCheckpointInfo(mutated.data(),
+                                             mutated.size(), info))
+            << "byte " << at;
+        SimSession heir(p, spec);
+        EXPECT_FALSE(heir.restoreCheckpoint({}, mutated)) << "byte " << at;
+        EXPECT_FALSE(heir.paused());
+    }
+    SimSession heir(p, spec);
+    EXPECT_TRUE(heir.restoreCheckpoint({}, bytes));
+}
+
+// ---------------------------------------------------------------------
+// Sweep journal fuzz: payload damage the CRC cannot see
+// ---------------------------------------------------------------------
+
+/**
+ * Mutate one frame's payload of @p image (a byte changed, or the
+ * payload cut short) and re-frame it with a valid CRC32C. Frames are
+ * picked uniformly so the small row-done and shard-range records are
+ * hit as often as the large checkpoints; half the byte edits land in
+ * a payload's first 64 bytes, where the record and checkpoint-header
+ * fields live.
+ */
+std::vector<std::uint8_t>
+mutateJournal(const std::vector<std::uint8_t>& image, std::uint64_t seed)
+{
+    std::vector<std::uint8_t> out = image;
+    const std::vector<JournalFrame> frames = journalFrames(out);
+    if (frames.empty())
+        return out;
+    const std::uint64_t h = mix64(seed);
+    const JournalFrame& frame = frames[h % frames.size()];
+    if (frame.len == 0)
+        return out;
+    const std::uint64_t g = mix64(h);
+    if (g % 4 == 0) {
+        reframe(out, frame, static_cast<std::size_t>(mix64(g) % frame.len));
+        return out;
+    }
+    const std::size_t span =
+        g % 4 == 1 ? std::min<std::size_t>(frame.len, 64) : frame.len;
+    const std::size_t at =
+        frame.payloadAt() + static_cast<std::size_t>(mix64(g) % span);
+    out[at] ^= static_cast<std::uint8_t>(1 + mix64(g ^ 0xf1) % 255);
+    reframe(out, frame, frame.len);
+    return out;
+}
+
+/**
+ * One fuzz campaign over a 1x3 journal stopped mid-sweep (two rows
+ * finished, the third checkpointed in flight). A sharded journal
+ * records its grid, so all three readers bound rows by the same grid
+ * and must agree exactly. An unsharded journal does not: only the
+ * resume knows the grid and drops rows a mutation moved out of it, so
+ * there the resume replays at most what inspect and merge count.
+ */
+void
+fuzzJournal(bool sharded, std::uint64_t seed_base)
+{
+    Program p = longRunProgram();
+    Topology topo = Topology::linearArray(4);
+    std::vector<ShapeSpec> shapes(1);
+    std::vector<RunRequest> requests(3);
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+        requests[r].policy = sim::PolicyKind::kRandom;
+        requests[r].seed = 1 + r;
+    }
+    const std::string path = tempPath(
+        sharded ? "fuzz_sharded.journal" : "fuzz_unsharded.journal");
+    std::remove(path.c_str());
+
+    ShapeSweepOptions options;
+    options.numWorkers = 1;
+    options.journalPath = path;
+    options.checkpointEvery = 40;
+    if (sharded) {
+        options.shardBegin = 0;
+        options.shardEnd = requests.size();
+    }
+    ShapeSweepOptions stopped = options;
+    stopped.stopAfterJournalRecords = 14;
+    {
+        ShapeSweep sweep(p, topo, shapes, stopped);
+        ASSERT_FALSE(sweep.run(requests).complete);
+    }
+    const std::vector<std::uint8_t> image = readBytes(path);
+    sim::SweepJournalInfo baseline;
+    ASSERT_TRUE(sim::inspectSweepJournal(path, baseline));
+    ASSERT_EQ(baseline.rowsDone, 2u);
+    ASSERT_EQ(baseline.inflight.size(), 1u);
+
+    for (std::uint64_t trial = 0; trial < 500; ++trial) {
+        const std::string what = "trial " + std::to_string(trial);
+        writeBytes(path, mutateJournal(image, seed_base + trial));
+
+        sim::SweepJournalInfo info;
+        ASSERT_TRUE(sim::inspectSweepJournal(path, info)) << what;
+        sim::SweepMergeResult merged;
+        std::string error;
+        const bool mergedOk =
+            sim::mergeSweepJournals({path}, merged, error);
+        if (mergedOk) {
+            EXPECT_EQ(merged.rows.size(), info.rowsDone) << what;
+        }
+
+        ShapeSweep sweep(p, topo, shapes, options);
+        const ShapeSweepResult resumed = sweep.run(requests);
+        EXPECT_TRUE(resumed.complete) << what;
+        EXPECT_FALSE(resumed.str(shapes).empty());
+
+        if (!sharded) {
+            EXPECT_LE(resumed.rowsFromJournal, info.rowsDone) << what;
+            continue;
+        }
+        // A damaged shard-range record names another shard, which a
+        // resume rightly refuses (the file restarts).
+        const bool ownShard = info.sharded && info.numShapes == 1 &&
+                              info.numRequests == requests.size() &&
+                              info.shardBegin == 0 &&
+                              info.shardEnd == requests.size();
+        EXPECT_EQ(resumed.rowsFromJournal, ownShard ? info.rowsDone : 0u)
+            << what;
+        if (ownShard) {
+            EXPECT_TRUE(mergedOk) << what << ": " << error;
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(PortableFormat, ShardedJournalFuzzReadersAgree)
+{
+    fuzzJournal(/*sharded=*/true, 0x5a4d0000);
+}
+
+TEST(PortableFormat, UnshardedJournalFuzzNeverCrashes)
+{
+    fuzzJournal(/*sharded=*/false, 0x0a4d0000);
 }
 
 } // namespace

@@ -97,18 +97,6 @@ ladder16()
     return shapes;
 }
 
-MachineSpec
-specFor(const Topology& topo, const ShapeSpec& shape)
-{
-    MachineSpec spec;
-    spec.topo = topo;
-    spec.queuesPerLink = shape.queuesPerLink;
-    spec.queueCapacity = shape.queueCapacity;
-    spec.extensionCapacity = shape.extensionCapacity;
-    spec.extensionPenalty = shape.extensionPenalty;
-    return spec;
-}
-
 std::string
 tempPath(const std::string& name)
 {
@@ -152,7 +140,7 @@ TEST(ShapeSweep, GoldenMatchesIndependentSessionsAndCompilesOnce)
     for (std::size_t s = 0; s < shapes.size(); ++s) {
         // The spec must outlive the session (it is held by
         // reference).
-        MachineSpec freshSpec = specFor(topo, shapes[s]);
+        MachineSpec freshSpec = shapes[s].machine(topo);
         SimSession fresh(p, freshSpec);
         for (std::size_t r = 0; r < requests.size(); ++r) {
             RunResult want = fresh.run(requests[r]);
@@ -790,14 +778,6 @@ TEST(ShapeSweep, SkewedLadderBitIdenticalAcrossSchedulers)
     ShapeSweepResult cellResult = cellSweep.run(requests);
     ASSERT_TRUE(cellResult.complete);
     expectSameRows(cellResult, golden, "cell-granular");
-
-    ShapeSweepOptions legacy;
-    legacy.numWorkers = 4;
-    legacy.shapeGranularDispatch = true;
-    ShapeSweep legacySweep(p, topo, shapes, legacy);
-    ShapeSweepResult legacyResult = legacySweep.run(requests);
-    ASSERT_TRUE(legacyResult.complete);
-    expectSameRows(legacyResult, golden, "shape-granular");
 }
 
 TEST(ShapeSweep, BoundedSessionPoolBlocksAndStaysBitIdentical)
@@ -1116,6 +1096,54 @@ TEST(ShapeSweep, MergeRejectsMismatchedSweeps)
 
     std::remove(a.c_str());
     std::remove(b.c_str());
+}
+
+TEST(ShapeSweep, ReadersAgreeOnUndecodableRowRecord)
+{
+    // A row-done record re-framed with a truncated payload and a
+    // valid CRC32C: sound framing, undecodable row. Resume, inspect
+    // and merge share one decoder, so all three stop at it and count
+    // the same finished rows — the daemon's status progress never
+    // reports rows a resume would recompute.
+    Program p = perturbedProgram(3);
+    Topology topo = Topology::linearArray(6);
+    std::vector<ShapeSpec> shapes(1);
+    std::vector<RunRequest> requests(3);
+    for (std::size_t r = 0; r < requests.size(); ++r)
+        requests[r].seed = 1 + r;
+
+    const std::string path = tempPath("shape_sweep_undecodable.journal");
+    std::remove(path.c_str());
+    ShapeSweepOptions options;
+    options.numWorkers = 1;
+    options.journalPath = path;
+    {
+        ShapeSweep sweep(p, topo, shapes, options);
+        ASSERT_TRUE(sweep.run(requests).complete);
+    }
+
+    std::vector<std::uint8_t> image = readBytes(path);
+    const std::vector<JournalFrame> frames = journalFrames(image);
+    ASSERT_EQ(frames.size(), 3u);
+    ASSERT_EQ(frames[0].kind, 1); // row-done
+    // Keep shape and request, cut the digest and result.
+    reframe(image, frames[0], 16);
+    writeBytes(path, image);
+
+    sim::SweepJournalInfo info;
+    ASSERT_TRUE(sim::inspectSweepJournal(path, info));
+    sim::SweepMergeResult merged;
+    std::string error;
+    ASSERT_TRUE(sim::mergeSweepJournals({path}, merged, error)) << error;
+    ShapeSweep resumeSweep(p, topo, shapes, options);
+    const ShapeSweepResult resumed = resumeSweep.run(requests);
+    ASSERT_TRUE(resumed.complete);
+
+    EXPECT_EQ(info.rowsDone, resumed.rowsFromJournal);
+    EXPECT_EQ(merged.rows.size(), resumed.rowsFromJournal);
+    // The walk stops at the damaged record, which comes first.
+    EXPECT_EQ(resumed.rowsFromJournal, 0u);
+    std::remove(path.c_str());
 }
 
 } // namespace
