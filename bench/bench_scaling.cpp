@@ -10,6 +10,9 @@
  * mostly idle array). BM_SimulateReference scans every link, queue
  * and cell each cycle; BM_SimulateEventDriven touches only the
  * active set. The per-iteration work is one full simulation run.
+ *
+ * Experiment P3: sweep throughput through a one-shape ShapeSweep
+ * (BM_OneShapeSweep) at 1, 2 and 4 workers.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,8 +26,8 @@
 #include "core/labeling.h"
 #include "core/program_gen.h"
 #include "core/related.h"
-#include "sim/batch.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 
 namespace {
 
@@ -146,31 +149,31 @@ BM_SimulateEventDriven(benchmark::State& state)
 BENCHMARK(BM_SimulateEventDriven)->Arg(64)->Arg(256)->Arg(512);
 
 /**
- * P3: SweepRunner throughput — a 32-run seed sweep of the 256-cell
- * streaming workload per iteration, across worker counts. On a
- * multi-core host the runs/sec column should scale with Arg until
- * memory bandwidth interferes.
+ * P3: sweep throughput — a 32-run seed sweep of the 256-cell
+ * streaming workload per iteration through one one-shape ShapeSweep,
+ * across worker counts. On a multi-core host the runs/sec column
+ * should scale with Arg until memory bandwidth interferes.
  */
 void
-BM_SweepRunner(benchmark::State& state)
+BM_OneShapeSweep(benchmark::State& state)
 {
     int workers = static_cast<int>(state.range(0));
     Program p = bench::streamingProgram(256, 4, 16, 16);
-    MachineSpec spec;
-    spec.topo = Topology::linearArray(256);
-    spec.queuesPerLink = 2;
-    spec.queueCapacity = 4;
+    sim::ShapeSpec shape;
+    shape.queuesPerLink = 2;
+    shape.queueCapacity = 4;
     std::vector<sim::RunRequest> requests;
     for (int i = 0; i < 32; ++i) {
         sim::RunRequest request;
         request.seed = static_cast<std::uint64_t>(i + 1);
         requests.push_back(request);
     }
-    sim::SweepOptions sweepOptions;
+    sim::ShapeSweepOptions sweepOptions;
     sweepOptions.numWorkers = workers;
-    sim::SweepRunner runner(p, spec, {}, sweepOptions);
+    sim::ShapeSweep sweep(p, Topology::linearArray(256), {shape},
+                          sweepOptions);
     for (auto _ : state) {
-        sim::SweepSummary summary = runner.run(requests);
+        sim::SweepSummary summary = sweep.run(requests).shapeSummary(0);
         if (summary.completed() !=
             static_cast<std::int64_t>(requests.size())) {
             state.SkipWithError("sweep incomplete");
@@ -181,7 +184,7 @@ BM_SweepRunner(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(requests.size()));
 }
-BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_OneShapeSweep)->Arg(1)->Arg(2)->Arg(4);
 
 } // namespace
 

@@ -4,9 +4,11 @@
  * of the 256-cell sparse/streaming workload through one SimSession
  * (state reset in place, stats-only collection) vs 64 fresh
  * simulateProgram() calls (revalidate, relabel, reallocate and
- * materialize every result vector per run), plus SweepRunner
- * thread-scaling over 1/2/4/8 workers. Appends machine-readable
- * lines to BENCH_session.json.
+ * materialize every result vector per run), plus one-shape ShapeSweep
+ * thread-scaling over 1/2/4/8 workers (S2, with the per-row
+ * machineDigest() cost every sweep row pays) and many small batches
+ * through one persistent sweep (S3). Appends machine-readable lines
+ * to BENCH_session.json.
  *
  * Usage: bench_session_reuse [--quick]
  *   --quick  CI smoke: fewer runs per mode, no full thread ladder.
@@ -21,9 +23,9 @@
 #include "bench_util.h"
 #include "core/program.h"
 #include "core/topology.h"
-#include "sim/batch.h"
 #include "sim/machine.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 
 namespace {
 
@@ -186,10 +188,13 @@ main(int argc, char** argv)
     }
 
     // ------------------------------------------------------------------
-    // SweepRunner thread scaling: the same request batch across
-    // 1/2/4/8 workers.
+    // S2: one-shape ShapeSweep thread scaling: the same request batch
+    // across 1/2/4/8 workers.
     // ------------------------------------------------------------------
-    bench::banner("S2", "SweepRunner thread scaling");
+    bench::banner("S2", "one-shape ShapeSweep thread scaling");
+    sim::ShapeSpec shape;
+    shape.queuesPerLink = spec.queuesPerLink;
+    shape.queueCapacity = spec.queueCapacity;
     std::vector<sim::RunRequest> requests;
     for (int i = 0; i < kRuns; ++i) {
         sim::RunRequest request;
@@ -203,15 +208,15 @@ main(int argc, char** argv)
     std::vector<int> ladder = quick ? std::vector<int>{1, 4}
                                     : std::vector<int>{1, 2, 4, 8};
     for (int workers : ladder) {
-        sim::SweepOptions sweepOptions;
+        sim::ShapeSweepOptions sweepOptions;
         sweepOptions.numWorkers = workers;
-        sim::SweepRunner runner(program, spec, {}, sweepOptions);
+        sim::ShapeSweep sweep(program, spec.topo, {shape}, sweepOptions);
         double best = 1e300;
         std::int64_t completed = 0;
         for (int rep = 0; rep < kReps; ++rep) {
-            sim::SweepSummary summary = runner.run(requests);
-            completed = summary.completed();
-            best = std::min(best, summary.wallSeconds);
+            sim::ShapeSweepResult result = sweep.run(requests);
+            completed = result.shapeSummary(0).completed();
+            best = std::min(best, result.wallSeconds);
         }
         if (completed != static_cast<std::int64_t>(requests.size())) {
             std::fprintf(stderr, "sweep incomplete: %lld/%zu\n",
@@ -224,22 +229,43 @@ main(int argc, char** argv)
         bench::row({std::to_string(workers), bench::fmt(best),
                     bench::fmt(kRuns / best), bench::fmt(base / best)});
         json.record("sweep_seconds", best,
-                    {{"workers", std::to_string(workers)},
+                    {{"driver", "one_shape_sweep"},
+                     {"workers", std::to_string(workers)},
                      {"runs", runs_str},
                      {"cells", cells_str}});
         json.record("sweep_speedup", base / best,
-                    {{"workers", std::to_string(workers)},
+                    {{"driver", "one_shape_sweep"},
+                     {"workers", std::to_string(workers)},
                      {"runs", runs_str},
                      {"cells", cells_str}});
     }
 
+    // Every sweep row records SimSession::machineDigest() at its
+    // terminal state: time that per-row cost on this workload, so the
+    // sweep timings above can be read as runs + rows x digest.
+    {
+        sim::SimSession session(program, spec);
+        if (!session.run(requests.front()).completed())
+            return 1;
+        const int kDigests = 2000;
+        volatile std::uint64_t sink = 0;
+        auto start = Clock::now();
+        for (int i = 0; i < kDigests; ++i)
+            sink = sink ^ session.machineDigest();
+        const double us = seconds(start) / kDigests * 1e6;
+        std::printf("machineDigest per row: %.2f us (x %d rows = %.3f ms)"
+                    "\n",
+                    us, kRuns, us * kRuns / 1e3);
+        json.record("digest_us_per_row", us, {{"cells", cells_str}});
+    }
+
     // ------------------------------------------------------------------
     // S3: the persistent worker pool. Many *small* batches through one
-    // runner — the regime where the old design paid a full thread
-    // spawn + join per run() call. The pool is warmed by the first
-    // batch; every later batch is a condition-variable hand-off.
+    // sweep — the regime where spawning threads per run() call would
+    // dominate. The pool is warmed by the first batch; every later
+    // batch is a condition-variable hand-off.
     // ------------------------------------------------------------------
-    bench::banner("S3", "persistent pool: many small batches per runner");
+    bench::banner("S3", "persistent pool: many small batches per sweep");
     const int kBatches = quick ? 16 : 128;
     const int kBatchSize = 8;
     std::vector<sim::RunRequest> smallBatch;
@@ -252,19 +278,23 @@ main(int argc, char** argv)
     bench::row({"workers", "batches", "seconds", "batches/sec"});
     bench::rule(4);
     for (int workers : ladder) {
-        sim::SweepOptions sweepOptions;
+        sim::ShapeSweepOptions sweepOptions;
         sweepOptions.numWorkers = workers;
-        sim::SweepRunner runner(program, spec, {}, sweepOptions);
-        // Warm-up batch: spawns the pool threads and compiles the
-        // per-worker sessions; the timed loop then measures steady
-        // state, which is what a sweep service would see.
-        if (runner.run(smallBatch).completed() != kBatchSize)
+        sim::ShapeSweep sweep(program, spec.topo, {shape}, sweepOptions);
+        auto batchCompleted = [&] {
+            return sweep.run(smallBatch).shapeSummary(0).completed() ==
+                   kBatchSize;
+        };
+        // Warm-up batch: spawns the pool threads and builds the
+        // pooled sessions; the timed loop then measures steady state,
+        // which is what a sweep service would see.
+        if (!batchCompleted())
             return 1;
         double best = 1e300;
         for (int rep = 0; rep < kReps; ++rep) {
             auto start = Clock::now();
             for (int b = 0; b < kBatches; ++b) {
-                if (runner.run(smallBatch).completed() != kBatchSize)
+                if (!batchCompleted())
                     return 1;
             }
             best = std::min(best, seconds(start));
@@ -272,12 +302,14 @@ main(int argc, char** argv)
         bench::row({std::to_string(workers), std::to_string(kBatches),
                     bench::fmt(best), bench::fmt(kBatches / best)});
         json.record("small_batch_seconds", best,
-                    {{"workers", std::to_string(workers)},
+                    {{"driver", "one_shape_sweep"},
+                     {"workers", std::to_string(workers)},
                      {"batches", std::to_string(kBatches)},
                      {"batch_size", std::to_string(kBatchSize)},
                      {"cells", cells_str}});
         json.record("small_batches_per_sec", kBatches / best,
-                    {{"workers", std::to_string(workers)},
+                    {{"driver", "one_shape_sweep"},
+                     {"workers", std::to_string(workers)},
                      {"batches", std::to_string(kBatches)},
                      {"batch_size", std::to_string(kBatchSize)},
                      {"cells", cells_str}});

@@ -90,9 +90,35 @@ sameTopology(const Topology& a, const Topology& b)
 // degraded-capacity clamp to each queue's serialized scalars. 3 is
 // the portable format: every scalar fixed little-endian via
 // sim/serial.h, struct pools serialized field by field — a checkpoint
-// written on any host restores on any other.
+// written on any host restores on any other. 4 follows the policy
+// state with a digest of every byte before it (checkpointPrefixDigest),
+// so damage the machine digest cannot see — statistics, cycle
+// counters, kernel flag, policy state — is refused on restore.
 constexpr std::uint32_t kCheckpointMagic = 0x53594b43u; // "CKYS"
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
+
+/**
+ * Digest of a checkpoint's bytes from the magic through the policy
+ * state, folded eight little-endian wire bytes per FNV step: O(stats),
+ * never a second pass over the machine pools (those are covered by
+ * the machine digest). Wire bytes are host-independent, so the digest
+ * is too.
+ */
+std::uint64_t
+checkpointPrefixDigest(const std::uint8_t* data, std::size_t size)
+{
+    std::uint64_t h = kFnvOffsetBasis;
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+        std::uint64_t word = 0;
+        for (std::size_t b = 0; b < 8; ++b)
+            word |= std::uint64_t{data[i + b]} << (8 * b);
+        h = fnv(h, word);
+    }
+    for (; i < size; ++i)
+        h = fnv(h, data[i]);
+    return h;
+}
 
 void
 saveStats(ByteWriter& w, const SimStats& s)
@@ -2437,6 +2463,7 @@ struct SimSession::Impl
         if (needEvents || collectReleases || collectTiming ||
             collectReceived || doAudit)
             return false;
+        const std::size_t begin = out.size();
         ByteWriter w(out);
         w.put(kCheckpointMagic);
         w.put(kCheckpointVersion);
@@ -2466,6 +2493,8 @@ struct SimSession::Impl
         std::vector<std::uint64_t> policyState;
         policy->saveState(policyState);
         w.putVector(policyState);
+        w.put(checkpointPrefixDigest(out.data() + begin,
+                                     out.size() - begin));
         arena.serializeMachineState(out);
         return true;
     }
@@ -2493,15 +2522,21 @@ struct SimSession::Impl
         std::vector<std::uint64_t> policyState;
         if (!r.getVector(policyState) || !r.ok())
             return false;
+        const std::size_t prefix = size - r.remaining();
+        if (r.get<std::uint64_t>() !=
+                checkpointPrefixDigest(data, prefix) ||
+            !r.ok())
+            return false;
         if (!arena.deserializeMachineState(data + (size - r.remaining()),
                                            r.remaining()))
             return false;
         writeSeq = std::move(header.writeSeq);
         readSeq = std::move(header.readSeq);
-        // The digest recorded at save time covers everything restored
-        // above; recomputing it is the end-to-end torn/mismatched-
-        // checkpoint check (a failed restore leaves machine state
-        // unspecified — the next run() resets it all anyway).
+        // The machine digest recorded at save time covers the pools
+        // and stream positions restored above; recomputing it is the
+        // end-to-end torn/mismatched-checkpoint check (a failed
+        // restore leaves machine state unspecified — the next run()
+        // resets it all anyway).
         if (machineDigest() != header.machineDigest)
             return false;
 

@@ -62,7 +62,7 @@ namespace syscomm::sim {
  * Thread-safety: a CompiledProgram is immutable after construction
  * except for the lazily computed default labeling, which is guarded
  * by a once-flag — concurrent sessions on different threads may share
- * one instance freely (SweepRunner's workers do).
+ * one instance freely (ShapeSweep's workers do).
  *
  * The Program must outlive the CompiledProgram; the Topology travels
  * as a SharedTopology, so compiling against a MachineSpec's topo (or
@@ -305,7 +305,7 @@ collects(Collect set, Collect flag)
  * the Collect flags; the default implementations do nothing.
  *
  * The observer is invoked from whichever thread executes the run (a
- * SweepRunner worker, for sweeps), never concurrently for one run.
+ * ShapeSweep worker, for sweeps), never concurrently for one run.
  * One observer instance attached to several requests of a threaded
  * sweep IS called concurrently — from a different worker per request
  * — and must synchronize its own state.
@@ -397,8 +397,8 @@ struct RunRequest
 /**
  * Does this request need a labeling (compatible policies consume
  * labels; the audit checks against them)? Shared by SimSession's
- * label resolution and SweepRunner's decision to pre-resolve labels
- * for its workers — keep the two in lockstep.
+ * run and checkpoint-restore label resolution — keep the two in
+ * lockstep.
  */
 inline bool
 runNeedsLabels(const RunRequest& request)
@@ -489,7 +489,7 @@ bool peekCheckpointInfo(const std::uint8_t* data, std::size_t size,
 /**
  * A compiled, reusable simulator instance. The program and spec must
  * outlive the session. Not thread-safe: one session serves one thread
- * (SweepRunner gives each worker its own).
+ * (ShapeSweep checks one out per in-flight grid cell).
  */
 class SimSession
 {
@@ -581,8 +581,10 @@ class SimSession
      * (policy, seed, budget, labels; collect must be kNone) — the
      * checkpoint stores machine state, not run configuration. Returns
      * false, abandoning any restored fragments, when the stream is
-     * torn, was produced by a differently-shaped machine, or the
-     * restored state fails its recorded machine digest.
+     * torn, was produced by a differently-shaped machine, or fails
+     * one of its two recorded digests: the header, statistics and
+     * policy state against a digest of their bytes, the restored
+     * machine pools and stream positions against the machine digest.
      */
     bool restoreCheckpoint(const RunRequest& request,
                            const std::uint8_t* data, std::size_t size);

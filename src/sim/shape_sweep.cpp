@@ -1066,18 +1066,13 @@ ShapeSweepResult::shapeSummary(std::size_t shape) const
 {
     // Unfinished rows (a stopped partial sweep) are excluded rather
     // than reported as fabricated config errors.
-    std::vector<RunResult> results;
-    std::vector<RunRequest> reqs;
-    results.reserve(numRequests);
-    reqs.reserve(numRequests);
+    std::vector<const RunResult*> results(numRequests);
     for (std::size_t r = 0; r < numRequests; ++r) {
         const ShapeSweepRow& shapeRow = row(shape, r);
-        if (!shapeRow.finished)
-            continue;
-        results.push_back(shapeRow.result);
-        reqs.push_back(requests[r]);
+        if (shapeRow.finished)
+            results[r] = &shapeRow.result;
     }
-    return summarizeSweep(std::move(results), reqs);
+    return summarizeSweep(results, requests);
 }
 
 std::string

@@ -12,8 +12,8 @@
  * (validation, the competing-message analysis, labeling) for every
  * rung even though only the hardware differs. ShapeSweep compiles the
  * program exactly once into a shared CompiledProgram and fans the
- * (shape × request) grid across the WorkerPool machinery SweepRunner
- * uses at *cell* granularity: each grid cell is one work item, and a
+ * (shape × request) grid across a WorkerPool (sim/batch.h) at *cell*
+ * granularity: each grid cell is one work item, and a
  * small per-shape session pool (sessions lazily cloned from the
  * shared CompiledProgram, bounded by maxSessionsPerShape, checked out
  * per cell) lets several workers chew on one giant rung while the
@@ -45,10 +45,15 @@
  * bit-identical to an uninterrupted one (tests/test_shape_sweep.cpp
  * enforces this).
  *
+ * It is the one sweep driver: a seed or policy sweep over a single
+ * machine is a one-shape ShapeSweep, whose work items are then just
+ * its requests.
+ *
  * Every row records SimSession::machineDigest() at its terminal
  * state, so two sweeps — on different hosts, kernels or worker
  * counts — can be compared row-for-row with one integer each: the
- * cheap cross-host determinism check CI runs.
+ * cheap cross-host determinism check CI runs. The digest is one pass
+ * over the machine pools per row, taken unconditionally.
  */
 
 #include <atomic>

@@ -27,8 +27,8 @@
 
 #include "core/program_gen.h"
 #include "sim/arena.h"
-#include "sim/batch.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 #include "test_support.h"
 
 namespace syscomm {
@@ -408,18 +408,23 @@ TEST(ArenaCheckpoint, SweepWorkersUnaffectedByPausedRequests)
             request.pauseAt = 4;
         requests.push_back(request);
     }
-    sim::SweepOptions threads;
+    sim::ShapeSweepOptions threads;
     threads.numWorkers = 2;
-    sim::SweepSummary sweep =
-        sim::SweepRunner(program, s, {}, threads).run(requests);
+    sim::ShapeSweepResult sweep =
+        sim::ShapeSweep(program, topo, {sim::ShapeSpec{}}, threads)
+            .run(requests);
 
     SimSession serial(program, s);
     for (std::size_t i = 0; i < requests.size(); ++i) {
         RunResult expected = serial.run(requests[i]);
-        expectSameRunResult(expected, sweep.results[i],
+        expectSameRunResult(expected, sweep.rows[i].result,
                          "request " + std::to_string(i));
+        EXPECT_EQ(sweep.rows[i].machineDigest, serial.machineDigest())
+            << "request " << i;
     }
-    EXPECT_EQ(sweep.statusCounts[static_cast<int>(RunStatus::kPaused)], 2);
+    EXPECT_EQ(sweep.shapeSummary(0)
+                  .statusCounts[static_cast<int>(RunStatus::kPaused)],
+              2);
 }
 
 } // namespace

@@ -18,8 +18,8 @@
 
 #include "algos/paper_figures.h"
 #include "core/program_gen.h"
-#include "sim/batch.h"
 #include "sim/machine.h"
+#include "sim/shape_sweep.h"
 #include "test_support.h"
 
 namespace syscomm {
@@ -252,12 +252,12 @@ TEST(KernelEquivalence, MaxCyclesBudgetExhaustion)
     expectKernelsAgree(p, spec(topo, 2, 1), options);
 }
 
-TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
+TEST(KernelEquivalence, SweepAgreesAcrossKernels)
 {
     // The sweep driver as equivalence harness: the same request batch
-    // (policies x seeds, full collection) through one SweepRunner per
-    // kernel must agree run by run — and the threaded fan-out must
-    // not perturb any result.
+    // (policies x seeds, full collection) through one threaded
+    // one-shape ShapeSweep per kernel must agree run by run — and the
+    // threaded fan-out must not perturb any result.
     Topology topo = Topology::linearArray(5);
     GenOptions gen;
     gen.numMessages = 6;
@@ -266,7 +266,7 @@ TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
     gen.interleave = 0.5;
     Program p = randomDeadlockFreeProgram(topo, gen);
     Program mutated = perturbProgram(p, 2, 77);
-    MachineSpec s = spec(topo, 2, 1);
+    sim::ShapeSpec shape; // two queues per link, capacity 1
 
     std::vector<sim::RunRequest> requests;
     for (PolicyKind policy : {PolicyKind::kCompatible, PolicyKind::kFcfs,
@@ -281,23 +281,25 @@ TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
         }
     }
 
-    sim::SessionOptions ref;
-    ref.kernel = KernelKind::kReference;
-    sim::SessionOptions evt;
-    evt.kernel = KernelKind::kEventDriven;
-    sim::SweepOptions threads;
-    threads.numWorkers = 3;
-    sim::SweepSummary refSweep =
-        sim::SweepRunner(mutated, s, ref, threads).run(requests);
-    sim::SweepSummary evtSweep =
-        sim::SweepRunner(mutated, s, evt, threads).run(requests);
+    sim::ShapeSweepOptions ref;
+    ref.session.kernel = KernelKind::kReference;
+    ref.numWorkers = 3;
+    sim::ShapeSweepOptions evt = ref;
+    evt.session.kernel = KernelKind::kEventDriven;
+    sim::ShapeSweepResult refSweep =
+        sim::ShapeSweep(mutated, topo, {shape}, ref).run(requests);
+    sim::ShapeSweepResult evtSweep =
+        sim::ShapeSweep(mutated, topo, {shape}, evt).run(requests);
 
-    ASSERT_EQ(refSweep.results.size(), requests.size());
-    ASSERT_EQ(evtSweep.results.size(), requests.size());
+    ASSERT_EQ(refSweep.rows.size(), requests.size());
+    ASSERT_EQ(evtSweep.rows.size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
-        const RunResult& a = refSweep.results[i];
-        const RunResult& b = evtSweep.results[i];
+        const RunResult& a = refSweep.rows[i].result;
+        const RunResult& b = evtSweep.rows[i].result;
         std::string ctx = "request " + std::to_string(i);
+        EXPECT_EQ(evtSweep.rows[i].machineDigest,
+                  refSweep.rows[i].machineDigest)
+            << ctx;
         ASSERT_EQ(b.status, a.status) << ctx;
         EXPECT_EQ(b.cycles, a.cycles) << ctx;
         EXPECT_TRUE(b.stats == a.stats) << ctx;
@@ -308,10 +310,12 @@ TEST(KernelEquivalence, SweepRunnerAgreesAcrossKernels)
         EXPECT_EQ(b.deadlock.render(), a.deadlock.render()) << ctx;
         EXPECT_EQ(b.audit.compatible, a.audit.compatible) << ctx;
     }
+    const sim::SweepSummary refSummary = refSweep.shapeSummary(0);
+    const sim::SweepSummary evtSummary = evtSweep.shapeSummary(0);
     for (int k = 0; k < sim::kNumRunStatuses; ++k)
-        EXPECT_EQ(evtSweep.statusCounts[k], refSweep.statusCounts[k]);
-    EXPECT_EQ(evtSweep.p50Cycles, refSweep.p50Cycles);
-    EXPECT_EQ(evtSweep.p99Cycles, refSweep.p99Cycles);
+        EXPECT_EQ(evtSummary.statusCounts[k], refSummary.statusCounts[k]);
+    EXPECT_EQ(evtSummary.p50Cycles, refSummary.p50Cycles);
+    EXPECT_EQ(evtSummary.p99Cycles, refSummary.p99Cycles);
 }
 
 TEST(KernelEquivalence, LargeArrayPhasesAt4kCells)

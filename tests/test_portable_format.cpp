@@ -12,7 +12,8 @@
  *  - peekCheckpointInfo survives ~1k seeded truncations and bit
  *    flips without ever reading out of bounds (the ASan job turns
  *    "never" into a hard guarantee) and rejects torn headers, and
- *    restore refuses every header peek refuses;
+ *    restore refuses every header peek refuses and every bit flip
+ *    from the header through the policy state;
  *  - ~1k seeded journal payload mutations, each frame's CRC32C
  *    recomputed so the damage reaches the decoder: resume, inspect
  *    and merge never crash and agree on the finished rows.
@@ -363,6 +364,60 @@ TEST(PortableFormat, RestoreRefusesWhatPeekRefuses)
         SimSession heir(p, spec);
         EXPECT_FALSE(heir.restoreCheckpoint({}, mutated)) << "byte " << at;
         EXPECT_FALSE(heir.paused());
+    }
+    SimSession heir(p, spec);
+    EXPECT_TRUE(heir.restoreCheckpoint({}, bytes));
+}
+
+TEST(PortableFormat, RestoreRefusesEveryBitFlipBeforeTheMachinePools)
+{
+    // The machine digest covers the pools and stream positions; the
+    // prefix digest must cover the rest. Flip one bit in every byte
+    // from the header through the policy state (and the digest that
+    // follows it): restore must refuse each one — a damaged statistic
+    // used to restore cleanly and report wrong numbers.
+    Program p = longRunProgram();
+    MachineSpec spec;
+    spec.topo = Topology::linearArray(4);
+    spec.queuesPerLink = 2;
+    SimSession session(p, spec);
+    RunRequest paused;
+    paused.pauseAt = 60;
+    ASSERT_EQ(session.run(paused).status, RunStatus::kPaused);
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(session.saveCheckpoint(bytes));
+
+    // Walk the layout to the end of the prefix digest: magic, version,
+    // machine digest, kernel flag, fault-plan digest, resumeFrom and
+    // cycles; the two stream-position vectors; the statistics (15
+    // scalars, then the per-cell blocked cycles); the policy state.
+    ByteReader r(bytes.data(), bytes.size());
+    r.get<std::uint32_t>();
+    r.get<std::uint32_t>();
+    r.get<std::uint64_t>();
+    r.get<std::uint8_t>();
+    r.get<std::uint64_t>();
+    r.get<std::int64_t>();
+    r.get<std::int64_t>();
+    std::vector<int> seq;
+    ASSERT_TRUE(r.getVector(seq) && r.getVector(seq));
+    for (int k = 0; k < 15; ++k)
+        r.get<std::int64_t>();
+    std::vector<std::int64_t> blocked;
+    ASSERT_TRUE(r.getVector(blocked));
+    EXPECT_EQ(blocked.size(), 4u);
+    std::vector<std::uint64_t> policyState;
+    ASSERT_TRUE(r.getVector(policyState));
+    r.get<std::uint64_t>();
+    ASSERT_TRUE(r.ok());
+    const std::size_t prefixEnd = bytes.size() - r.remaining();
+
+    for (std::size_t at = 0; at < prefixEnd; ++at) {
+        std::vector<std::uint8_t> mutated = bytes;
+        mutated[at] ^= static_cast<std::uint8_t>(1u << (at % 8));
+        SimSession heir(p, spec);
+        EXPECT_FALSE(heir.restoreCheckpoint({}, mutated)) << "byte " << at;
+        EXPECT_FALSE(heir.paused()) << "byte " << at;
     }
     SimSession heir(p, spec);
     EXPECT_TRUE(heir.restoreCheckpoint({}, bytes));

@@ -1,11 +1,11 @@
 /**
  * @file
- * SimSession / SweepRunner coverage: the compile-once/run-many entry
- * point must be indistinguishable from a fresh single-use simulator
- * on every run, across interleaved seeds and policies; the threaded
- * sweep driver must equal a serial loop over the same requests; and
- * the Collect flags must gate exactly the vectors they name without
- * perturbing any counter.
+ * SimSession coverage: the compile-once/run-many entry point must be
+ * indistinguishable from a fresh single-use simulator on every run,
+ * across interleaved seeds and policies; sweep summaries must count
+ * every terminal status; interleaved multi-shape sweep batches must
+ * equal serial sessions; and the Collect flags must gate exactly the
+ * vectors they name without perturbing any counter.
  */
 
 #include <gtest/gtest.h>
@@ -18,9 +18,9 @@
 
 #include "algos/paper_figures.h"
 #include "core/program_gen.h"
-#include "sim/batch.h"
 #include "sim/machine.h"
 #include "sim/session.h"
+#include "sim/shape_sweep.h"
 #include "test_support.h"
 
 namespace syscomm {
@@ -34,11 +34,13 @@ using sim::RunRequest;
 using sim::RunResult;
 using sim::RunStatus;
 using sim::SessionOptions;
+using sim::ShapeSpec;
+using sim::ShapeSweep;
+using sim::ShapeSweepOptions;
+using sim::ShapeSweepResult;
 using sim::SimOptions;
 using sim::SimSession;
 using sim::simulateProgram;
-using sim::SweepOptions;
-using sim::SweepRunner;
 using sim::SweepSummary;
 
 /** A seed-sensitive workload: perturbed program under unsafe policies
@@ -182,137 +184,18 @@ TEST(SimSession, InterleavedPoliciesDoNotLeakState)
 }
 
 // ---------------------------------------------------------------------
-// (c) SweepRunner == serial loop over the same requests
+// (c) sweep summaries
 // ---------------------------------------------------------------------
 
-std::vector<RunRequest>
-mixedRequests()
-{
-    std::vector<RunRequest> requests;
-    const PolicyKind policies[] = {PolicyKind::kCompatible,
-                                   PolicyKind::kFcfs, PolicyKind::kRandom};
-    for (PolicyKind policy : policies) {
-        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-            RunRequest request;
-            request.policy = policy;
-            request.seed = seed;
-            request.maxCycles = 20'000;
-            request.collect = Collect::kEvents | Collect::kReceived;
-            requests.push_back(request);
-        }
-    }
-    return requests;
-}
-
-TEST(SweepRunner, MatchesSerialLoop)
-{
-    Program p = perturbedProgram(7);
-    MachineSpec spec = smallSpec(5, 2, 1);
-    std::vector<RunRequest> requests = mixedRequests();
-
-    // Serial loop through one session.
-    SimSession serial(p, spec);
-    std::vector<RunResult> serialResults;
-    for (const RunRequest& request : requests)
-        serialResults.push_back(serial.run(request));
-
-    for (int workers : {1, 2, 4}) {
-        SweepOptions sweepOptions;
-        sweepOptions.numWorkers = workers;
-        SweepRunner runner(p, spec, {}, sweepOptions);
-        SweepSummary summary = runner.run(requests);
-
-        ASSERT_EQ(summary.results.size(), requests.size());
-        EXPECT_EQ(summary.workersUsed,
-                  std::min<int>(workers,
-                                static_cast<int>(requests.size())));
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            expectSameRunResult(summary.results[i], serialResults[i],
-                             "workers=" + std::to_string(workers) +
-                                 " request=" + std::to_string(i));
-        }
-
-        // Aggregates equal the serial aggregation too.
-        SweepSummary serialSummary =
-            sim::summarizeSweep(std::move(serialResults), requests);
-        EXPECT_EQ(summary.completed(), serialSummary.completed());
-        EXPECT_EQ(summary.deadlocked(), serialSummary.deadlocked());
-        EXPECT_EQ(summary.p50Cycles, serialSummary.p50Cycles);
-        EXPECT_EQ(summary.p90Cycles, serialSummary.p90Cycles);
-        EXPECT_EQ(summary.p99Cycles, serialSummary.p99Cycles);
-        EXPECT_EQ(summary.minCycles, serialSummary.minCycles);
-        EXPECT_EQ(summary.maxCycles, serialSummary.maxCycles);
-        EXPECT_DOUBLE_EQ(summary.meanCycles, serialSummary.meanCycles);
-        ASSERT_EQ(summary.perPolicy.size(),
-                  serialSummary.perPolicy.size());
-        for (std::size_t k = 0; k < summary.perPolicy.size(); ++k) {
-            EXPECT_EQ(summary.perPolicy[k].policy,
-                      serialSummary.perPolicy[k].policy);
-            EXPECT_EQ(summary.perPolicy[k].runs,
-                      serialSummary.perPolicy[k].runs);
-            EXPECT_EQ(summary.perPolicy[k].completed,
-                      serialSummary.perPolicy[k].completed);
-            EXPECT_EQ(summary.perPolicy[k].deadlocked,
-                      serialSummary.perPolicy[k].deadlocked);
-            EXPECT_DOUBLE_EQ(summary.perPolicy[k].meanCycles,
-                             serialSummary.perPolicy[k].meanCycles);
-        }
-        serialResults = std::move(serialSummary.results);
-    }
-}
-
-TEST(SweepRunner, PersistentPoolKeepsBatchesDeterministic)
-{
-    // Many small batches through one runner: the pool threads are
-    // spawned by the first threaded batch and reused by every later
-    // one (pooledWorkers never shrinks), interleaved batch shapes —
-    // including single-request batches that run inline — do not
-    // perturb results, and every batch matches the serial loop
-    // bit for bit.
-    Program p = perturbedProgram(7);
-    MachineSpec spec = smallSpec(5, 2, 1);
-    std::vector<RunRequest> requests = mixedRequests();
-
-    SimSession serial(p, spec);
-    std::vector<RunResult> serialResults;
-    for (const RunRequest& request : requests)
-        serialResults.push_back(serial.run(request));
-
-    SweepOptions sweepOptions;
-    sweepOptions.numWorkers = 3;
-    SweepRunner runner(p, spec, {}, sweepOptions);
-    EXPECT_EQ(runner.pooledWorkers(), 0); // lazily spawned
-
-    for (int batch = 0; batch < 4; ++batch) {
-        SweepSummary summary = runner.run(requests);
-        EXPECT_EQ(runner.pooledWorkers(), 2); // workers - 1, persistent
-        ASSERT_EQ(summary.results.size(), requests.size());
-        for (std::size_t i = 0; i < requests.size(); ++i) {
-            expectSameRunResult(summary.results[i], serialResults[i],
-                             "batch=" + std::to_string(batch) +
-                                 " request=" + std::to_string(i));
-        }
-
-        // An inline single-request batch between threaded ones.
-        std::vector<RunRequest> one{requests[batch]};
-        SweepSummary single = runner.run(one);
-        ASSERT_EQ(single.results.size(), 1u);
-        EXPECT_EQ(single.workersUsed, 1);
-        expectSameRunResult(single.results.front(), serialResults[batch],
-                         "inline batch=" + std::to_string(batch));
-        EXPECT_EQ(runner.pooledWorkers(), 2); // pool never shed
-    }
-}
-
-TEST(SweepRunner, StatusHistogramCoversDeadlocks)
+TEST(SweepSummary, StatusHistogramCoversDeadlocks)
 {
     // Fig. 7 at one queue per link: the compatible policy completes,
-    // FCFS jams — the histogram must see both terminal states.
+    // FCFS jams — a threaded one-shape sweep's histogram must see
+    // both terminal states.
     Program p = algos::fig7Program();
-    MachineSpec spec;
-    spec.topo = algos::fig7Topology();
-    spec.queuesPerLink = 1;
-    spec.queueCapacity = 1;
+    ShapeSpec shape;
+    shape.queuesPerLink = 1;
+    shape.queueCapacity = 1;
     std::vector<RunRequest> requests;
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         RunRequest request;
@@ -322,8 +205,10 @@ TEST(SweepRunner, StatusHistogramCoversDeadlocks)
         request.maxCycles = 20'000;
         requests.push_back(request);
     }
-    SweepRunner runner(p, spec, {}, {4});
-    SweepSummary summary = runner.run(requests);
+    ShapeSweepOptions options;
+    options.numWorkers = 4;
+    ShapeSweep sweep(p, algos::fig7Topology(), {shape}, options);
+    SweepSummary summary = sweep.run(requests).shapeSummary(0);
     EXPECT_EQ(summary.completed(), 6);
     EXPECT_EQ(summary.deadlocked(), 6);
     ASSERT_EQ(summary.perPolicy.size(), 2u);
@@ -332,6 +217,15 @@ TEST(SweepRunner, StatusHistogramCoversDeadlocks)
     EXPECT_EQ(summary.perPolicy[1].policy, PolicyKind::kFcfs);
     EXPECT_EQ(summary.perPolicy[1].deadlocked, 6);
     EXPECT_FALSE(summary.str().empty());
+}
+
+std::vector<const RunResult*>
+pointersTo(const std::vector<RunResult>& results)
+{
+    std::vector<const RunResult*> pointers;
+    for (const RunResult& result : results)
+        pointers.push_back(&result);
+    return pointers;
 }
 
 TEST(SweepSummary, PrintedHistogramCoversEveryStatusIncludingPaused)
@@ -345,7 +239,7 @@ TEST(SweepSummary, PrintedHistogramCoversEveryStatusIncludingPaused)
         results[s].status = static_cast<RunStatus>(s);
     std::vector<RunRequest> requests(results.size());
     SweepSummary summary =
-        sim::summarizeSweep(std::move(results), requests);
+        sim::summarizeSweep(pointersTo(results), requests);
     const std::string text = summary.str();
     for (int s = 0; s < sim::kNumRunStatuses; ++s) {
         const std::string bucket =
@@ -365,7 +259,7 @@ TEST(SweepSummary, AllErrorBatchHasNoFabricatedCycleDistribution)
     std::vector<RunResult> results(3);
     std::vector<RunRequest> requests(3);
     SweepSummary summary =
-        sim::summarizeSweep(std::move(results), requests);
+        sim::summarizeSweep(pointersTo(results), requests);
     EXPECT_EQ(summary.minCycles, -1);
     EXPECT_EQ(summary.maxCycles, -1);
     EXPECT_EQ(summary.p50Cycles, -1);
@@ -672,38 +566,30 @@ TEST(SimSession, LabelFreeRunsAreHistoryIndependent)
 //     machine shapes
 // ---------------------------------------------------------------------
 
-TEST(SweepRunner, InterleavedMultiShapeBatchesMatchSerial)
+TEST(ShapeSweep, InterleavedMultiShapeBatchesMatchSerial)
 {
-    // Three runners over three machine *shapes* (queue count /
-    // capacity / extension ladders), each with its own persistent
-    // worker pool and per-worker arena-backed sessions. Batches are
-    // fed to the runners round-robin — the interleaving a
-    // shape-ladder sweep produces — and every result must equal a
-    // serial SimSession loop. Run under TSan in CI: any sharing of
-    // hot arena state between workers (or stale state surviving the
-    // request-queue hand-off between batches) is a race or a
-    // mismatch here.
+    // One sweep over three machine *shapes* (queue count / capacity /
+    // extension ladders): its persistent worker pool and per-shape
+    // session pools serve every batch. Batches mix collected vectors
+    // and policies, and every row must equal a serial SimSession
+    // loop on its shape. Run under TSan in CI: any sharing of hot
+    // arena state between workers (or stale state surviving the
+    // hand-off between batches) is a race or a mismatch here.
     Program p = perturbedProgram(6);
-    const MachineSpec shapes[] = {
-        smallSpec(5, 1, 1),
-        smallSpec(5, 2, 2),
-        [] {
-            MachineSpec s = smallSpec(5, 2, 1);
-            s.extensionCapacity = 2;
-            s.extensionPenalty = 3;
-            return s;
-        }(),
-    };
+    Topology topo = Topology::linearArray(5);
+    std::vector<ShapeSpec> shapes(3);
+    shapes[0].queuesPerLink = 1;
+    shapes[1].queueCapacity = 2;
+    shapes[2].extensionCapacity = 2;
+    shapes[2].extensionPenalty = 3;
 
-    SweepOptions threaded;
+    ShapeSweepOptions threaded;
     threaded.numWorkers = 3;
-    std::vector<std::unique_ptr<SweepRunner>> runners;
+    ShapeSweep sweep(p, topo, shapes, threaded);
     std::vector<std::unique_ptr<SimSession>> serials;
-    for (const MachineSpec& shape : shapes) {
-        runners.push_back(std::make_unique<SweepRunner>(
-            p, shape, SessionOptions{}, threaded));
-        serials.push_back(std::make_unique<SimSession>(p, shape));
-    }
+    for (std::size_t shape = 0; shape < shapes.size(); ++shape)
+        serials.push_back(
+            std::make_unique<SimSession>(p, sweep.spec(shape)));
 
     const PolicyKind policies[] = {PolicyKind::kCompatible,
                                    PolicyKind::kFcfs, PolicyKind::kRandom};
@@ -719,20 +605,19 @@ TEST(SweepRunner, InterleavedMultiShapeBatchesMatchSerial)
                          : Collect::kEvents | Collect::kMsgTiming;
             batch.push_back(request);
         }
-        for (std::size_t shape = 0; shape < runners.size(); ++shape) {
-            SweepSummary sweep = runners[shape]->run(batch);
-            ASSERT_EQ(sweep.results.size(), batch.size());
+        ShapeSweepResult sweepResult = sweep.run(batch);
+        ASSERT_EQ(sweepResult.rows.size(), shapes.size() * batch.size());
+        for (std::size_t shape = 0; shape < shapes.size(); ++shape) {
             for (std::size_t i = 0; i < batch.size(); ++i) {
                 expectSameRunResult(serials[shape]->run(batch[i]),
-                                 sweep.results[i],
-                                 "round " + std::to_string(round) +
-                                     " shape " + std::to_string(shape) +
-                                     " request " + std::to_string(i));
+                                    sweepResult.row(shape, i).result,
+                                    "round " + std::to_string(round) +
+                                        " shape " + std::to_string(shape) +
+                                        " request " + std::to_string(i));
             }
         }
     }
-    for (const auto& runner : runners)
-        EXPECT_EQ(runner->pooledWorkers(), 2); // 3 workers - lead thread
+    EXPECT_EQ(sweep.pooledWorkers(), 2); // 3 workers - lead thread
 }
 
 } // namespace

@@ -7,6 +7,12 @@
  *    SimSession builds, across policies and seeds, while running the
  *    program-side analyses exactly once (asserted via
  *    CompiledProgram::buildCount);
+ *  - threaded == serial: at 1, 2 and 4 workers every row and every
+ *    per-shape summary equals a serial SimSession loop, for shape
+ *    ladders and for one-shape seed/policy sweeps; pool threads are
+ *    spawned lazily and persist across batches, a one-item batch
+ *    runs inline, and a throwing compute callback fails run() but
+ *    leaves the sweep usable;
  *  - a sweep killed mid-flight (journal record budget) and resumed
  *    from its journal reproduces the uninterrupted sweep's results
  *    bit-identically — finished rows replay, checkpointed rows
@@ -17,7 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -128,8 +137,10 @@ TEST(ShapeSweep, GoldenMatchesIndependentSessionsAndCompilesOnce)
     ShapeSweepOptions options;
     options.numWorkers = 3;
     ShapeSweep sweep(p, topo, shapes, options);
+    EXPECT_EQ(sweep.pooledWorkers(), 0); // spawned by the first run()
     const std::int64_t before = CompiledProgram::buildCount();
     ShapeSweepResult result = sweep.run(requests);
+    EXPECT_EQ(sweep.pooledWorkers(), 2); // workers - the calling thread
     // >= 16 shapes, exactly one program-side analysis pass.
     EXPECT_EQ(CompiledProgram::buildCount() - before, 1);
     ASSERT_TRUE(result.complete);
@@ -159,10 +170,12 @@ TEST(ShapeSweep, GoldenMatchesIndependentSessionsAndCompilesOnce)
     EXPECT_TRUE(sawDeadlock);
     EXPECT_TRUE(sawCompleted);
 
-    // A second batch on the same sweep reuses sessions and compile.
+    // A second batch on the same sweep reuses sessions, compile and
+    // pool threads.
     const std::int64_t again = CompiledProgram::buildCount();
     ShapeSweepResult rerun = sweep.run(requests);
     EXPECT_EQ(CompiledProgram::buildCount(), again);
+    EXPECT_EQ(sweep.pooledWorkers(), 2);
     for (std::size_t i = 0; i < result.rows.size(); ++i) {
         expectSameRunResult(rerun.rows[i].result, result.rows[i].result,
                             "rerun row " + std::to_string(i));
@@ -194,30 +207,114 @@ TEST(ShapeSweep, LadderSharesOneTopology)
     EXPECT_NE(copy.topo.ptr().get(), shared);
 }
 
+void
+expectSameSummary(const sim::SweepSummary& got,
+                  const sim::SweepSummary& want, const std::string& what)
+{
+    for (int k = 0; k < sim::kNumRunStatuses; ++k)
+        EXPECT_EQ(got.statusCounts[k], want.statusCounts[k]) << what;
+    EXPECT_EQ(got.minCycles, want.minCycles) << what;
+    EXPECT_EQ(got.maxCycles, want.maxCycles) << what;
+    EXPECT_EQ(got.p50Cycles, want.p50Cycles) << what;
+    EXPECT_EQ(got.p90Cycles, want.p90Cycles) << what;
+    EXPECT_EQ(got.p99Cycles, want.p99Cycles) << what;
+    EXPECT_DOUBLE_EQ(got.meanCycles, want.meanCycles) << what;
+    ASSERT_EQ(got.perPolicy.size(), want.perPolicy.size()) << what;
+    for (std::size_t k = 0; k < want.perPolicy.size(); ++k) {
+        const sim::PolicySummary& a = got.perPolicy[k];
+        const sim::PolicySummary& b = want.perPolicy[k];
+        EXPECT_EQ(a.policy, b.policy) << what;
+        EXPECT_EQ(a.runs, b.runs) << what;
+        EXPECT_EQ(a.completed, b.completed) << what;
+        EXPECT_EQ(a.deadlocked, b.deadlocked) << what;
+        EXPECT_DOUBLE_EQ(a.meanCycles, b.meanCycles) << what;
+        EXPECT_DOUBLE_EQ(a.meanRequestWait, b.meanRequestWait) << what;
+    }
+}
+
+/**
+ * Run @p requests over @p shapes at 1, 2 and 4 workers: every row
+ * (result and machine digest) and every per-shape aggregate must
+ * equal a serial SimSession loop over the same requests.
+ */
+void
+expectWorkerCountInvariant(const Program& p, const Topology& topo,
+                           const std::vector<ShapeSpec>& shapes,
+                           const std::vector<RunRequest>& requests,
+                           const std::string& what)
+{
+    std::vector<std::vector<RunResult>> serial(shapes.size());
+    std::vector<std::vector<std::uint64_t>> digests(shapes.size());
+    for (std::size_t s = 0; s < shapes.size(); ++s) {
+        MachineSpec spec = shapes[s].machine(topo);
+        SimSession session(p, spec);
+        for (const RunRequest& request : requests) {
+            serial[s].push_back(session.run(request));
+            digests[s].push_back(session.machineDigest());
+        }
+    }
+
+    for (int workers : {1, 2, 4}) {
+        ShapeSweepOptions options;
+        options.numWorkers = workers;
+        ShapeSweep sweep(p, topo, shapes, options);
+        ShapeSweepResult result = sweep.run(requests);
+        ASSERT_TRUE(result.complete);
+        EXPECT_EQ(result.workersUsed,
+                  std::min<std::size_t>(workers, result.rows.size()));
+        for (std::size_t s = 0; s < shapes.size(); ++s) {
+            std::vector<const RunResult*> serialRows;
+            for (std::size_t r = 0; r < requests.size(); ++r) {
+                const std::string ctx =
+                    what + " workers=" + std::to_string(workers) +
+                    " shape=" + std::to_string(s) +
+                    " request=" + std::to_string(r);
+                expectSameRunResult(result.row(s, r).result,
+                                    serial[s][r], ctx);
+                EXPECT_EQ(result.row(s, r).machineDigest, digests[s][r])
+                    << ctx;
+                serialRows.push_back(&serial[s][r]);
+            }
+            expectSameSummary(result.shapeSummary(s),
+                              sim::summarizeSweep(serialRows, requests),
+                              what + " workers=" +
+                                  std::to_string(workers) +
+                                  " shape=" + std::to_string(s));
+        }
+    }
+}
+
 TEST(ShapeSweep, WorkerCountDoesNotChangeResults)
 {
-    Program p = perturbedProgram(2);
-    Topology topo = Topology::linearArray(6);
-    std::vector<ShapeSpec> shapes = ladder16();
-    std::vector<RunRequest> requests(2);
-    requests[1].policy = PolicyKind::kFcfs;
-
-    ShapeSweepOptions serial;
-    serial.numWorkers = 1;
-    ShapeSweep sweepSerial(p, topo, shapes, serial);
-    ShapeSweepResult golden = sweepSerial.run(requests);
-
-    ShapeSweepOptions threaded;
-    threaded.numWorkers = 4;
-    ShapeSweep sweepThreaded(p, topo, shapes, threaded);
-    ShapeSweepResult result = sweepThreaded.run(requests);
-
-    ASSERT_EQ(result.rows.size(), golden.rows.size());
-    for (std::size_t i = 0; i < golden.rows.size(); ++i) {
-        expectSameRunResult(result.rows[i].result, golden.rows[i].result,
-                            "row " + std::to_string(i));
-        EXPECT_EQ(result.rows[i].machineDigest,
-                  golden.rows[i].machineDigest);
+    // A 16-shape ladder with two requests.
+    {
+        Program p = perturbedProgram(2);
+        Topology topo = Topology::linearArray(6);
+        std::vector<RunRequest> requests(2);
+        requests[1].policy = PolicyKind::kFcfs;
+        expectWorkerCountInvariant(p, topo, ladder16(), requests,
+                                   "ladder");
+    }
+    // A one-shape seed x policy sweep that collects result vectors:
+    // the single-machine sweep, where the work items are requests.
+    {
+        Program p = perturbedProgram(7);
+        Topology topo = Topology::linearArray(6);
+        std::vector<RunRequest> requests;
+        for (PolicyKind policy :
+             {PolicyKind::kCompatible, PolicyKind::kFcfs,
+              PolicyKind::kRandom}) {
+            for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+                RunRequest request;
+                request.policy = policy;
+                request.seed = seed;
+                request.maxCycles = 20'000;
+                request.collect = Collect::kEvents | Collect::kReceived;
+                requests.push_back(request);
+            }
+        }
+        expectWorkerCountInvariant(p, topo, {ShapeSpec{}}, requests,
+                                   "one-shape");
     }
 }
 
@@ -860,7 +957,92 @@ TEST(ShapeSweep, SingleWorkerSweepStaysInline)
     ASSERT_TRUE(result.complete);
     EXPECT_EQ(result.workersUsed, 1);
     EXPECT_EQ(sweep.pooledWorkers(), 0);
+
+    // One work item is a single-worker dispatch too, whatever the
+    // worker count: a one-request batch on a one-shape sweep runs
+    // inline, before and after the pool threads exist, and never
+    // sheds them.
+    ShapeSweepOptions three;
+    three.numWorkers = 3;
+    ShapeSweep oneShape(p, topo, {shapes[1]}, three);
+    MachineSpec spec = shapes[1].machine(topo);
+    SimSession serial(p, spec);
+    std::vector<RunRequest> batch(4);
+    for (std::size_t r = 0; r < batch.size(); ++r)
+        batch[r].seed = 1 + r;
+    for (int round = 0; round < 3; ++round) {
+        ShapeSweepResult single = oneShape.run({batch[round]});
+        EXPECT_EQ(single.workersUsed, 1);
+        EXPECT_EQ(oneShape.pooledWorkers(), round == 0 ? 0 : 2);
+        expectSameRunResult(single.row(0, 0).result,
+                            serial.run(batch[round]),
+                            "inline round " + std::to_string(round));
+        ShapeSweepResult threaded = oneShape.run(batch);
+        EXPECT_EQ(threaded.workersUsed, 3);
+        EXPECT_EQ(oneShape.pooledWorkers(), 2);
+        for (std::size_t r = 0; r < batch.size(); ++r) {
+            expectSameRunResult(threaded.row(0, r).result,
+                                serial.run(batch[r]),
+                                "round " + std::to_string(round) +
+                                    " request " + std::to_string(r));
+        }
+    }
 }
+
+TEST(ShapeSweep, ThrowingComputeFailsTheRunNotTheSweep)
+{
+    // WorkerPool parks a throwing job's exception and rethrows it
+    // after the join: run() throws, and the same sweep's next run()
+    // — pooled sessions and threads included — equals a serial one.
+    std::atomic<bool> failing{true};
+    Program p(2);
+    const MessageId id = p.declareMessage("S", 0, 1);
+    for (int w = 0; w < 8; ++w) {
+        p.compute(0, [&failing](CellContext& ctx) {
+            if (failing.load())
+                throw std::runtime_error("compute failed");
+            ctx.local(0) += 1.0;
+        });
+        p.write(0, id);
+    }
+    for (int w = 0; w < 8; ++w)
+        p.read(1, id);
+    Topology topo = Topology::linearArray(2);
+    std::vector<ShapeSpec> shapes(2);
+    shapes[1].queueCapacity = 4;
+    std::vector<RunRequest> requests(4);
+    for (std::size_t r = 0; r < requests.size(); ++r)
+        requests[r].seed = 1 + r;
+
+    ShapeSweepOptions threaded;
+    threaded.numWorkers = 3;
+    ShapeSweep sweep(p, topo, shapes, threaded);
+    EXPECT_THROW(sweep.run(requests), std::runtime_error);
+    EXPECT_EQ(sweep.pooledWorkers(), 2);
+
+    failing.store(false);
+    ShapeSweepResult result = sweep.run(requests);
+    EXPECT_EQ(sweep.pooledWorkers(), 2);
+    ShapeSweepOptions serial;
+    serial.numWorkers = 1;
+    ShapeSweep serialSweep(p, topo, shapes, serial);
+    ShapeSweepResult golden = serialSweep.run(requests);
+    ASSERT_TRUE(result.complete);
+    ASSERT_EQ(result.rows.size(), golden.rows.size());
+    for (std::size_t i = 0; i < golden.rows.size(); ++i) {
+        EXPECT_EQ(result.rows[i].machineDigest,
+                  golden.rows[i].machineDigest)
+            << "row " << i;
+        EXPECT_EQ(result.rows[i].result.status,
+                  golden.rows[i].result.status)
+            << "row " << i;
+        EXPECT_EQ(result.rows[i].result.cycles,
+                  golden.rows[i].result.cycles)
+            << "row " << i;
+    }
+    EXPECT_EQ(golden.row(0, 0).result.status, RunStatus::kCompleted);
+}
+
 
 TEST(WorkerSizing, ClampWorkersNeverReturnsZero)
 {
